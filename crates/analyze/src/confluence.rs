@@ -22,11 +22,12 @@
 //!   winner — ER014 (Warning): verdict-equivalent but order-fragile.
 //!
 //! When every pair joins outright the pass issues a
-//! [`ConfluenceCertificate`] stamped with the master generation: a license
-//! for the engines to fold votes in *arrival* order instead of rule order
-//! (`er_par::WorkerPool::unordered_fold`, the sharded merge). Appends bump
-//! the generation and invalidate the stamp; `er-serve` re-runs the pass on
-//! `reload` and on append previews to re-issue it. Vote comparisons use
+//! [`ConfluenceCertificate`] stamped with the master generation: proof that
+//! rule order cannot change a repair over that master. The certificate is
+//! analysis output (`experiments prove`, the serve `reload`/`append`
+//! analysis gate); the repair engines always fold votes in rule order and
+//! need no license. Appends bump the generation, so a certificate speaks
+//! only for the master it was issued on. Vote comparisons use
 //! exact integer cross-multiplication (`cnt/total` fractions over a common
 //! denominator), never floats, so the verdict is itself order-independent.
 
@@ -41,8 +42,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct ConfluenceCertificate {
     /// Whether every critical pair joins outright (no ER013 divergence and
-    /// no ER014 tie-break dependence). Only a certified set licenses the
-    /// unordered merge paths.
+    /// no ER014 tie-break dependence).
     pub certified: bool,
     /// Critical pairs examined (unifiable LHS patterns on a shared target).
     pub pairs: usize,

@@ -24,8 +24,7 @@
 //!    ER013 (Error) with a two-order counterexample row, a pair that joins
 //!    only via the smaller-code tie-break is ER014 (Warning), and a set
 //!    where every pair joins outright earns a [`ConfluenceCertificate`]
-//!    (generation-stamped) that licenses the engines' arrival-order vote
-//!    merges (`er_par::WorkerPool::unordered_fold`, the sharded merge).
+//!    (generation-stamped): rule order cannot change its repairs.
 //! 4. **Can every rule fire?** ([`reach`]) Rules dead against the current
 //!    master domains ([`MasterProfile`], generation-aware per-column
 //!    [`er_table::ColumnStats`]) — ER010 (Warning).

@@ -56,8 +56,8 @@ impl AnalysisReport {
     /// conflict (ER010 warnings do not block a load). ER013 non-confluence
     /// is an error in the report but does not block the gate either: a
     /// non-confluent set still serves correctly on the deterministic
-    /// rule-order paths — it is only refused the confluence certificate,
-    /// so the unordered merge paths stay unlicensed.
+    /// rule-order repair path — it is only refused the confluence
+    /// certificate.
     pub fn gate_clean(&self) -> bool {
         self.findings
             .iter()
@@ -131,7 +131,7 @@ impl AnalysisReport {
             let _ = writeln!(
                 out,
                 "confluence: CERTIFIED — {} critical pair{} join on the current master \
-                 (generation {}); arrival-order vote merges are licensed",
+                 (generation {}); rule order cannot change a repair",
                 c.pairs,
                 plural(c.pairs),
                 c.generation,
@@ -140,7 +140,7 @@ impl AnalysisReport {
             let _ = writeln!(
                 out,
                 "confluence: NOT CERTIFIED — {} of {} critical pair{} diverge{}, {} join{} \
-                 only by tie-break; vote merges stay in rule order",
+                 only by tie-break; rule order may change a repair",
                 c.divergent.len(),
                 c.pairs,
                 plural(c.pairs),
@@ -437,8 +437,8 @@ pub(crate) fn build_findings(
                 plural(w.rows),
             ),
             note: Some(format!(
-                "two-order witness: master row {} ({}); no confluence certificate — vote \
-                 merges stay in rule order",
+                "two-order witness: master row {} ({}); no confluence certificate — the \
+                 two orders commit different fixes",
                 w.master_row,
                 w.master_tuple.join(", ")
             )),

@@ -392,7 +392,7 @@ fn prove_main(args: &[String]) {
     } else if cert.certified {
         println!(
             "confluence: CERTIFIED — {} rules, {} critical pair(s) join on the current \
-             master (generation {}); arrival-order vote merges are licensed",
+             master (generation {}); rule order cannot change a repair",
             cert.num_rules, cert.pairs, cert.generation
         );
         for p in &cert.proofs {
@@ -404,7 +404,7 @@ fn prove_main(args: &[String]) {
     } else {
         println!(
             "confluence: NOT CERTIFIED — {} divergent pair(s), {} tie-break-dependent \
-             pair(s) of {} checked; vote merges stay in rule order",
+             pair(s) of {} checked; rule order may change a repair",
             cert.divergent.len(),
             cert.tie_broken.len(),
             cert.pairs

@@ -244,40 +244,32 @@ fn batched_repair_is_thread_count_invariant() {
     }
 }
 
-/// The sharded serving tier partitions the master by the rules' common LHS
-/// routing pair and fans requests out per shard; at every shard count ×
-/// thread count combination the answers must be byte-identical to the
-/// unsharded `BatchRepairer`.
-#[test]
-fn sharded_repair_is_shard_and_thread_count_invariant() {
+/// Repair `input` at every shard count × thread count combination and
+/// demand answers byte-identical to the unsharded 1-thread `BatchRepairer`.
+fn assert_shard_matrix(
+    master: &er_table::Relation,
+    input: &er_table::Relation,
+    target: (usize, usize),
+    rules: &[EditingRule],
+) {
     const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-    let s = covid();
-    let task = &s.task;
-    let target = task.target();
-    let pairs = task.candidate_lhs_pairs();
-    // Anchor every rule on pairs[0] so the set has a common routing pair
-    // and multi-shard placement is non-degenerate.
-    let mut rules = vec![EditingRule::new(vec![pairs[0]], target, vec![])];
-    for &p in &pairs[1..] {
-        rules.push(EditingRule::new(vec![pairs[0], p], target, vec![]));
-    }
-    let reference = BatchRepairer::new(task.master().clone(), target, rules.clone(), 1)
+    let reference = BatchRepairer::new(master.clone(), target, rules.to_vec(), 1)
         .unwrap()
-        .repair_batch(task.input())
+        .repair_batch(input)
         .unwrap();
     assert!(reference.num_predictions() > 0, "fixture must predict");
     let bits = |scores: &[f64]| scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
             let engine = er_shard::ShardedEngine::new(
-                task.master().clone(),
+                master.clone(),
                 target,
-                rules.clone(),
+                rules.to_vec(),
                 threads,
                 shards,
             )
             .unwrap();
-            let run = engine.repair_batch(task.input(), None).unwrap();
+            let run = engine.repair_batch(input, None).unwrap();
             assert_eq!(
                 run.predictions, reference.predictions,
                 "predictions diverged at {shards} shards / {threads} threads"
@@ -295,17 +287,86 @@ fn sharded_repair_is_shard_and_thread_count_invariant() {
     }
 }
 
-/// The certificate-gated commutative fold: a rule set the er-analyze
-/// confluence pass certifies licenses `unordered_fold` inside every shard
-/// and arrival-order merging across shards. At every shard count × thread
-/// count combination the stamped (unordered) run must be byte-identical to
-/// the unstamped (ordered) run and to the 1-shard/1-thread reference.
+/// The sharded serving tier partitions the master by the rules' common LHS
+/// routing pair and fans requests out per shard; at every shard count ×
+/// thread count combination the answers must be byte-identical to the
+/// unsharded `BatchRepairer` — including for a rule set the er-analyze
+/// confluence pass refuses to certify, since the one ordered repair path
+/// needs no certificate.
 #[test]
-fn certified_unordered_fold_is_shard_and_thread_count_invariant() {
+fn sharded_repair_is_shard_and_thread_count_invariant() {
+    let s = covid();
+    let task = &s.task;
+    let target = task.target();
+    let pairs = task.candidate_lhs_pairs();
+    // Anchor every rule on pairs[0] so the set has a common routing pair
+    // and multi-shard placement is non-degenerate.
+    let mut rules = vec![EditingRule::new(vec![pairs[0]], target, vec![])];
+    for &p in &pairs[1..] {
+        rules.push(EditingRule::new(vec![pairs[0], p], target, vec![]));
+    }
+    assert_shard_matrix(task.master(), task.input(), target, &rules);
+
+    // The divergent (ER013) set of `rule_order.rs`: on the joint witness
+    // (k0, a0) the K-rule's modal is t1 and the A-rule's is t0.
+    use er_table::{Attribute, Pool, RelationBuilder, Schema, Value};
+    use std::sync::Arc;
+    let pool = Arc::new(Pool::new());
+    let schema = |name: &str| {
+        Arc::new(Schema::new(
+            name,
+            vec![
+                Attribute::categorical("K"),
+                Attribute::categorical("A"),
+                Attribute::categorical("T"),
+            ],
+        ))
+    };
+    let in_schema = schema("in");
+    let v = |x: &str| Value::str(x.to_string());
+    let mut bm = RelationBuilder::new(schema("m"), Arc::clone(&pool));
+    bm.push_row(vec![v("k0"), v("a0"), v("t0")]).unwrap();
+    bm.push_row(vec![v("k0"), v("a1"), v("t1")]).unwrap();
+    bm.push_row(vec![v("k0"), v("a1"), v("t1")]).unwrap();
+    let master = bm.finish();
+    let mut bi = RelationBuilder::new(Arc::clone(&in_schema), pool);
+    for (k, a) in [("k0", "a0"), ("k0", "a1"), ("k1", "a0"), ("k0", "a2")] {
+        bi.push_row(vec![v(k), v(a), Value::Null]).unwrap();
+    }
+    bi.push_row(vec![Value::Null, v("a0"), Value::Null])
+        .unwrap();
+    let input = bi.finish();
+    let target = (2, 2);
+    let rules = vec![
+        EditingRule::new(vec![(0, 0)], target, vec![]),
+        EditingRule::new(vec![(1, 1)], target, vec![]),
+    ];
+    let report = er_analyze::analyze(
+        &in_schema,
+        &master,
+        &[TargetRules {
+            target,
+            rules: rules.clone(),
+        }],
+        &AnalyzeConfig::with_threads(2),
+    );
+    assert!(
+        !report.confluence.certified,
+        "the divergent set must not certify: {}",
+        report.render_text()
+    );
+    assert_shard_matrix(&master, &input, target, &rules);
+}
+
+/// A rule set the er-analyze confluence pass certifies honestly (zero
+/// divergent critical pairs), with a NULL routing key that exercises the
+/// broadcast merge: every shard count × thread count combination must
+/// still match the 1-shard/1-thread reference bitwise.
+#[test]
+fn certified_set_is_shard_and_thread_count_invariant() {
     use er_table::{Attribute, Pool, RelationBuilder, Schema, Value};
     use std::sync::Arc;
 
-    const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
     let pool = Arc::new(Pool::new());
     let attrs = || {
         vec![
@@ -344,7 +405,7 @@ fn certified_unordered_fold_is_shard_and_thread_count_invariant() {
         ])
         .unwrap();
     }
-    // A NULL routing key exercises the broadcast path under both merges.
+    // A NULL routing key exercises the broadcast path.
     bi.push_row(vec![Value::Null, s("a0".into()), Value::Null])
         .unwrap();
     let input = bi.finish();
@@ -360,68 +421,20 @@ fn certified_unordered_fold_is_shard_and_thread_count_invariant() {
         target,
         rules: rules.clone(),
     }];
-    let reference = BatchRepairer::new(master.clone(), target, rules.clone(), 1)
-        .unwrap()
-        .repair_batch(&input)
-        .unwrap();
-    assert!(reference.num_predictions() > 0, "fixture must predict");
-    let bits = |scores: &[f64]| scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let engine = er_shard::ShardedEngine::new(
-                master.clone(),
-                target,
-                rules.clone(),
-                threads,
-                shards,
-            )
-            .unwrap();
-            let ordered = engine.repair_batch(&input, None).unwrap();
-            // Certify honestly: run the confluence pass, then stamp the
-            // engine at its live aggregate generation — exactly what
-            // `er-serve` does on reload/append.
-            let report = er_analyze::analyze(
-                &in_schema,
-                &master,
-                &targets,
-                &AnalyzeConfig::with_threads(threads),
-            );
-            assert!(
-                report.confluence.certified,
-                "functionally determined fixture must certify: {}",
-                report.render_text()
-            );
-            assert_eq!(
-                report.confluence.generation,
-                engine.read_view().generation()
-            );
-            assert!(engine.set_confluence_stamp(report.confluence.generation));
-            assert!(engine.confluence_certified());
-            let unordered = engine.repair_batch(&input, None).unwrap();
-            assert_eq!(
-                unordered.predictions, ordered.predictions,
-                "stamped predictions diverged at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                bits(&unordered.scores),
-                bits(&ordered.scores),
-                "stamped scores diverged bitwise at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                unordered.candidates, ordered.candidates,
-                "stamped candidate counts diverged at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                unordered.predictions, reference.predictions,
-                "predictions diverged from the reference at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                bits(&unordered.scores),
-                bits(&reference.scores),
-                "scores diverged bitwise from the reference at {shards} shards / {threads} threads"
-            );
-        }
+    for threads in THREAD_COUNTS {
+        let report = er_analyze::analyze(
+            &in_schema,
+            &master,
+            &targets,
+            &AnalyzeConfig::with_threads(threads),
+        );
+        assert!(
+            report.confluence.certified,
+            "functionally determined fixture must certify at {threads} threads: {}",
+            report.render_text()
+        );
     }
+    assert_shard_matrix(&master, &input, target, &rules);
 }
 
 /// The RLMiner path: training (mask refresh via the evaluator pool) and the

@@ -1,10 +1,8 @@
-//! Rule-order invariance under a confluence certificate: the whole point of
-//! certifying a rule set (ER013/ER014 clean) is that the chase result no
-//! longer depends on the order rules are listed, so any engine may fold
-//! votes in whatever order work completes. This property test shuffles the
+//! Rule-order invariance under a confluence certificate: what certifying a
+//! rule set (ER013/ER014 clean) proves is that the repair result does not
+//! depend on the order rules are listed. This property test shuffles the
 //! rule list with a seeded RNG and demands bitwise-identical repair output
-//! on every permutation — on the ordered path *and* on the certificate-
-//! gated unordered path. A deliberately non-confluent set guards against
+//! on every permutation. A deliberately non-confluent set guards against
 //! vacuity: the pass must refuse to certify it.
 
 // Test code: a panic is the failure report; fixture helpers sit outside
@@ -66,10 +64,8 @@ fn confluent_fixture() -> (Arc<Schema>, Relation, Relation) {
     (in_schema, master, input)
 }
 
-fn repair(master: &Relation, rules: &[EditingRule], unordered: bool) -> BatchRepairer {
-    let mut repairer = BatchRepairer::new(master.clone(), (2, 2), rules.to_vec(), 2).unwrap();
-    repairer.set_unordered(unordered);
-    repairer
+fn repair(master: &Relation, rules: &[EditingRule]) -> BatchRepairer {
+    BatchRepairer::new(master.clone(), (2, 2), rules.to_vec(), 2).unwrap()
 }
 
 #[test]
@@ -81,7 +77,7 @@ fn certified_set_is_rule_order_invariant() {
         EditingRule::new(vec![(0, 0), (1, 1)], target, vec![]),
         EditingRule::new(vec![(1, 1), (0, 0)], target, vec![]),
     ];
-    let baseline = repair(&master, &rules, false).repair_batch(&input).unwrap();
+    let baseline = repair(&master, &rules).repair_batch(&input).unwrap();
     assert!(baseline.num_predictions() > 0, "fixture must predict");
     let bits = |r: &RepairReport| r.scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut rng = StdRng::seed_from_u64(20260809);
@@ -104,30 +100,26 @@ fn certified_set_is_rule_order_invariant() {
             report.confluence.certified,
             "round {round}: shuffle {order:?} must still certify"
         );
-        for unordered in [false, true] {
-            let run = repair(&master, &shuffled, unordered)
-                .repair_batch(&input)
-                .unwrap();
-            assert_eq!(
-                run.predictions, baseline.predictions,
-                "round {round}: predictions diverged under order {order:?} (unordered={unordered})"
-            );
-            assert_eq!(
-                bits(&run),
-                bits(&baseline),
-                "round {round}: scores diverged bitwise under order {order:?} (unordered={unordered})"
-            );
-            assert_eq!(
-                run.candidates, baseline.candidates,
-                "round {round}: candidate counts diverged under order {order:?} (unordered={unordered})"
-            );
-        }
+        let run = repair(&master, &shuffled).repair_batch(&input).unwrap();
+        assert_eq!(
+            run.predictions, baseline.predictions,
+            "round {round}: predictions diverged under order {order:?}"
+        );
+        assert_eq!(
+            bits(&run),
+            bits(&baseline),
+            "round {round}: scores diverged bitwise under order {order:?}"
+        );
+        assert_eq!(
+            run.candidates, baseline.candidates,
+            "round {round}: candidate counts diverged under order {order:?}"
+        );
     }
 }
 
 /// Non-vacuity guard: a set whose critical pair genuinely diverges must be
 /// refused a certificate (with an ER013 witness), otherwise the shuffle
-/// test above proves nothing about what certification licenses.
+/// test above proves nothing about what certification guarantees.
 #[test]
 fn divergent_set_is_refused_a_certificate() {
     let pool = Arc::new(Pool::new());

@@ -58,12 +58,6 @@ pub struct IncrEngine {
     threads: usize,
     /// Master generation the current rule set was installed at.
     rules_generation: u64,
-    /// Master generation an er-analyze confluence certificate was issued
-    /// at, when the serving layer installed one. The arrival-order vote
-    /// fan-out stays licensed only while the master is still at exactly
-    /// this generation — appends bump it and the license lapses until the
-    /// confluence pass is re-run.
-    confluence_generation: Option<u64>,
     counters: IncrCounters,
 }
 
@@ -94,34 +88,8 @@ impl IncrEngine {
             repairer,
             threads,
             rules_generation,
-            confluence_generation: None,
             counters: IncrCounters::default(),
         })
-    }
-
-    /// Install a confluence-certificate stamp issued at master generation
-    /// `generation` for the currently loaded rules, selecting the
-    /// arrival-order vote fan-out iff the stamp matches the live master.
-    /// Returns whether the unordered path is now licensed. The engine does
-    /// not re-verify the certificate — callers (er-serve) run the
-    /// er-analyze confluence pass and only stamp certified sets.
-    pub fn set_confluence_stamp(&mut self, generation: u64) -> bool {
-        let live = generation == self.generation();
-        self.confluence_generation = live.then_some(generation);
-        self.repairer.set_unordered(live);
-        live
-    }
-
-    /// Drop any certificate stamp and fall back to the ordered fan-out.
-    pub fn clear_confluence_stamp(&mut self) {
-        self.confluence_generation = None;
-        self.repairer.set_unordered(false);
-    }
-
-    /// Whether a certificate stamp currently licenses the arrival-order
-    /// fan-out (present *and* issued at the live master generation).
-    pub fn confluence_certified(&self) -> bool {
-        self.confluence_generation == Some(self.generation())
     }
 
     /// Append rows (master-schema attribute order) to the master and
@@ -130,14 +98,6 @@ impl IncrEngine {
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<AppendOutcome, BatchError> {
         let appended = self.repairer.append_master(rows)?;
         self.counters.incremental_updates += 1;
-        // The append moved the generation past the certificate stamp: the
-        // unordered license lapses until the confluence pass re-certifies.
-        if self
-            .confluence_generation
-            .is_some_and(|g| g != self.generation())
-        {
-            self.clear_confluence_stamp();
-        }
         Ok(AppendOutcome {
             appended,
             master_rows: self.repairer.master().num_rows(),
@@ -154,9 +114,6 @@ impl IncrEngine {
         let target = self.repairer.target();
         self.repairer = BatchRepairer::new(master, target, rules, self.threads)?;
         self.rules_generation = self.repairer.master().generation();
-        // A new rule set needs a fresh confluence verdict; the replacement
-        // repairer already starts on the ordered path.
-        self.confluence_generation = None;
         self.counters.rebuilds += 1;
         Ok(())
     }
@@ -316,44 +273,6 @@ mod tests {
         e.refresh_rules(rules).unwrap();
         assert_eq!(e.staleness(), 0);
         assert_eq!(e.counters().rebuilds, 1);
-    }
-
-    #[test]
-    fn confluence_stamp_licenses_and_lapses() {
-        let mut e = engine();
-        assert!(!e.confluence_certified());
-        // A stale stamp (wrong generation) is refused outright.
-        assert!(!e.set_confluence_stamp(e.generation() + 1));
-        assert!(!e.confluence_certified());
-        // A live stamp licenses the unordered path...
-        assert!(e.set_confluence_stamp(e.generation()));
-        assert!(e.confluence_certified());
-        // ...an append bumps the generation and the license lapses...
-        let s = Value::str;
-        e.append_rows(&[vec![s("SZ"), s("no symptoms")]]).unwrap();
-        assert!(!e.confluence_certified());
-        // ...re-stamping at the new generation restores it...
-        assert!(e.set_confluence_stamp(e.generation()));
-        assert!(e.confluence_certified());
-        // ...and a rule refresh clears it again.
-        let rules = e.rules().to_vec();
-        e.refresh_rules(rules).unwrap();
-        assert!(!e.confluence_certified());
-    }
-
-    #[test]
-    fn stamped_engine_repairs_bitwise_like_unstamped() {
-        let m = master();
-        let rules = vec![EditingRule::new(vec![(0, 0)], (1, 1), vec![])];
-        let e = IncrEngine::new(m.clone(), (1, 1), rules.clone(), 0).unwrap();
-        let mut stamped = IncrEngine::new(m, (1, 1), rules, 0).unwrap();
-        assert!(stamped.set_confluence_stamp(stamped.generation()));
-        let batch = input_batch(&e, &["HZ", "BJ", "SZ"]);
-        let a = e.repair_batch(&batch).unwrap();
-        let b = stamped.repair_batch(&batch).unwrap();
-        assert_eq!(a.predictions, b.predictions);
-        let bits = |r: &RepairReport| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

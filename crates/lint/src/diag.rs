@@ -67,14 +67,13 @@ pub enum DiagnosticCode {
     /// Non-confluent rule pair: two rules on the same target form a critical
     /// pair whose one-step chase states do not join — applying them in the
     /// two possible orders commits *different* certain fixes on a concrete
-    /// master row. No confluence certificate exists for the set, and the
-    /// engines must keep merging votes in deterministic rule order.
+    /// master row. No confluence certificate exists for the set.
     Er013,
     /// Tie-break-dependent confluence: a critical pair's divergent
     /// prescriptions carry exactly equal combined evidence, so the chase
     /// converges only because the deterministic smaller-code tie-break picks
     /// the same value in both orders. Verdict-equivalent but order-fragile;
-    /// such sets stay on the ordered merge path.
+    /// such sets are refused the confluence certificate.
     Er014,
 }
 

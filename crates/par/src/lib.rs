@@ -33,14 +33,6 @@
 //! order-sensitive reduction (float accumulation, candidate-list pushes,
 //! counter updates) sequentially over those ordered results.
 //!
-//! [`WorkerPool::unordered_fold`] deliberately relaxes half of that: the
-//! *set* of `(index, result)` pairs it delivers is still exactly
-//! `{(i, f(items[i]))}`, but pairs arrive in completion order, not input
-//! order. It is only sound for folds whose outcome is arrival-order
-//! independent — disjoint-slot scatters, exact counters — which is why the
-//! repair engines gate it behind er-analyze's `ConfluenceCertificate` and
-//! `par_determinism.rs` proves the fold byte-identical to the ordered path.
-//!
 //! ## Thread-count resolution
 //!
 //! [`resolve_threads`] maps a configured `0` ("auto") to the `ER_THREADS`
@@ -182,77 +174,6 @@ impl WorkerPool {
                 slot.unwrap()
             })
             .collect()
-    }
-
-    /// Apply `f` to every item and fold each `(index, result)` pair into
-    /// `fold` **in completion order**, without the ordered scatter of
-    /// [`WorkerPool::map`].
-    ///
-    /// Every index in `0..items.len()` reaches `fold` exactly once with
-    /// `f(&items[index])` — only the *arrival order* varies with scheduling.
-    /// This is the primitive behind the certificate-gated merge paths: a
-    /// confluent rule set's vote fold lands in disjoint per-rule slots, so
-    /// arrival order is invisible in the output and skipping the scatter
-    /// buffer saves one full materialization of the results. Callers without
-    /// such an order-independence argument must use [`WorkerPool::map`].
-    /// Runs inline (input order) when sequential, tiny, or nested.
-    pub fn unordered_fold<T, R, F, G>(&self, items: &[T], f: F, mut fold: G)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        G: FnMut(usize, R),
-    {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 || IN_POOL_WORKER.with(|w| w.get()) {
-            for (i, item) in items.iter().enumerate() {
-                fold(i, f(item));
-            }
-            return;
-        }
-        let chunk = (n / (workers * 4)).max(1);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-            let (f, next) = (&f, &next);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        IN_POOL_WORKER.with(|w| w.set(true));
-                        loop {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            let end = (start + chunk).min(n);
-                            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                                // A send error means the receiver is gone
-                                // (the caller's fold panicked); stop early,
-                                // the panic is already unwinding the caller.
-                                if tx.send((i, f(item))).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            // Drop the spawn-loop's original sender so the channel closes
-            // once every worker finishes.
-            drop(tx);
-            for (i, r) in rx {
-                fold(i, r);
-            }
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    // Re-raise a worker panic in the caller, exactly as the
-                    // sequential loop would have.
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
     }
 
     /// Split `0..n` into contiguous chunks, apply `f` to each chunk in
@@ -496,68 +417,6 @@ mod tests {
             assert!(x != 50, "boom");
             x
         });
-    }
-
-    #[test]
-    fn unordered_fold_delivers_every_pair_exactly_once() {
-        let items: Vec<usize> = (0..1000).collect();
-        for threads in [1, 2, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            let mut slots = vec![None; items.len()];
-            pool.unordered_fold(
-                &items,
-                |x| x * 3,
-                |i, r| {
-                    assert!(slots[i].is_none(), "index {i} delivered twice");
-                    slots[i] = Some(r);
-                },
-            );
-            for (i, slot) in slots.iter().enumerate() {
-                assert_eq!(*slot, Some(i * 3), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn unordered_fold_commutative_sum_matches_sequential() {
-        let items: Vec<u64> = (0..537).collect();
-        let expect: u64 = items.iter().map(|x| x * x).sum();
-        for threads in [1, 4, 8] {
-            let mut sum = 0u64;
-            WorkerPool::new(threads).unordered_fold(&items, |x| x * x, |_, r| sum += r);
-            assert_eq!(sum, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn unordered_fold_empty_and_singleton() {
-        let pool = WorkerPool::new(8);
-        let mut hits = 0usize;
-        pool.unordered_fold(&[] as &[usize], |x| *x, |_, _| hits += 1);
-        assert_eq!(hits, 0);
-        pool.unordered_fold(
-            &[7usize],
-            |x| x + 1,
-            |i, r| {
-                assert_eq!((i, r), (0, 8));
-                hits += 1;
-            },
-        );
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bang")]
-    fn unordered_fold_worker_panic_propagates() {
-        let items: Vec<usize> = (0..100).collect();
-        WorkerPool::new(4).unordered_fold(
-            &items,
-            |&x| {
-                assert!(x != 50, "bang");
-                x
-            },
-            |_, _| {},
-        );
     }
 
     #[test]

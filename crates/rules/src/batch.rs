@@ -48,23 +48,6 @@
 //! paths, because a precomputed reciprocal rounds differently than a fresh
 //! division.
 //!
-//! # The certificate-gated unordered fan-out
-//!
-//! The fan-out normally goes through [`er_par::WorkerPool::map`], whose
-//! ordered scatter buffers every group's result before the collect loop
-//! runs. When the owning engine holds a valid er-analyze
-//! `ConfluenceCertificate` it may call [`BatchRepairer::set_unordered`],
-//! switching the fan-out to [`er_par::WorkerPool::unordered_fold`]: group
-//! outcomes are folded the moment they complete, in arrival order. The
-//! output is still byte-identical — each outcome scatters into *disjoint*
-//! per-rule `contributions` slots, the stat counters are exact integer
-//! sums, and the certainty-vote fold itself ([`fold_votes`]) always runs
-//! sequentially in rule order afterwards — and
-//! `crates/bench/tests/par_determinism.rs` enforces that identity across
-//! the full shard × thread matrix. The repairer does not verify the
-//! certificate itself; the flag is plumbed down from `er-serve`, which
-//! re-runs the confluence pass on `reload` and `append`.
-//!
 //! The previous row-at-a-time implementation is kept as
 //! [`BatchRepairer::repair_batch_reference`] behind
 //! `cfg(any(test, feature = "reference-path"))`, so the equivalence suite
@@ -291,10 +274,6 @@ pub struct BatchRepairer {
     /// Minimum input arity any rule (or the target) references.
     min_arity: usize,
     pool: WorkerPool,
-    /// Whether the fan-out may fold group outcomes in arrival order
-    /// (certificate-gated; see the module docs). Off by default: the
-    /// ordered [`WorkerPool::map`] path needs no license.
-    unordered: bool,
     /// Lifetime [`VoteStats`] counters (relaxed atomics: `repair` is `&self`
     /// and runs concurrently behind the serve read lock).
     vote_rows: AtomicU64,
@@ -372,7 +351,6 @@ impl BatchRepairer {
             lhs_groups,
             min_arity,
             pool,
-            unordered: false,
             vote_rows: AtomicU64::new(0),
             signature_probes: AtomicU64::new(0),
         })
@@ -402,21 +380,6 @@ impl BatchRepairer {
     /// the unit of signature grouping and probe dedup.
     pub fn num_lhs_groups(&self) -> usize {
         self.lhs_groups.len()
-    }
-
-    /// Whether the arrival-order fan-out is currently selected (see
-    /// [`BatchRepairer::set_unordered`]).
-    pub fn unordered(&self) -> bool {
-        self.unordered
-    }
-
-    /// Select (`true`) or deselect (`false`) the arrival-order group
-    /// fan-out. Callers must only pass `true` while they hold a valid
-    /// er-analyze `ConfluenceCertificate` for exactly this rule set and
-    /// master generation — the repairer trusts the license; the output is
-    /// byte-identical either way (module docs, `par_determinism.rs`).
-    pub fn set_unordered(&mut self, licensed: bool) {
-        self.unordered = licensed;
     }
 
     /// Lifetime vote-batching counters: rows grouped vs. distinct signature
@@ -520,44 +483,15 @@ impl BatchRepairer {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(BatchError::DeadlineExceeded);
             }
-            if self.unordered {
-                // Certificate-gated arrival-order fold: every outcome lands
-                // in disjoint per-rule slots and the counters are exact
-                // integer sums, so completion order is invisible in the
-                // output. The only error a group worker can produce is
-                // DeadlineExceeded, so arrival order cannot change which
-                // error is reported either.
-                let mut failure: Option<BatchError> = None;
-                self.pool.unordered_fold(
-                    chunk,
-                    |group| self.group_contribution(group, batch, deadline),
-                    |_, result| match result {
-                        Ok(outcome) => {
-                            rows_grouped += outcome.rows;
-                            probes += outcome.probes;
-                            for (rule, votes) in outcome.votes {
-                                contributions[rule] = Contribution::Grouped(votes);
-                            }
-                        }
-                        Err(e) => {
-                            failure.get_or_insert(e);
-                        }
-                    },
-                );
-                if let Some(e) = failure {
-                    return Err(e);
-                }
-            } else {
-                let results = self.pool.map(chunk, |group| {
-                    self.group_contribution(group, batch, deadline)
-                });
-                for result in results {
-                    let outcome = result?;
-                    rows_grouped += outcome.rows;
-                    probes += outcome.probes;
-                    for (rule, votes) in outcome.votes {
-                        contributions[rule] = Contribution::Grouped(votes);
-                    }
+            let results = self.pool.map(chunk, |group| {
+                self.group_contribution(group, batch, deadline)
+            });
+            for result in results {
+                let outcome = result?;
+                rows_grouped += outcome.rows;
+                probes += outcome.probes;
+                for (rule, votes) in outcome.votes {
+                    contributions[rule] = Contribution::Grouped(votes);
                 }
             }
         }
@@ -1202,34 +1136,17 @@ mod tests {
     }
 
     #[test]
-    fn unordered_fold_matches_ordered_fold_bitwise() {
+    fn repair_is_thread_count_invariant_bitwise() {
         let (input, master) = fixture();
-        for threads in [1, 2, 8] {
-            let ordered =
+        let sequential = BatchRepairer::new(master.clone(), (1, 1), rules(&input), 1).unwrap();
+        let expect = sequential.repair_batch(&input).unwrap();
+        for threads in [2, 8] {
+            let pooled =
                 BatchRepairer::new(master.clone(), (1, 1), rules(&input), threads).unwrap();
-            let mut unordered =
-                BatchRepairer::new(master.clone(), (1, 1), rules(&input), threads).unwrap();
-            assert!(!unordered.unordered());
-            unordered.set_unordered(true);
-            assert!(unordered.unordered());
-            let a = ordered.repair_batch(&input).unwrap();
-            let b = unordered.repair_batch(&input).unwrap();
-            assert_reports_bitwise_equal(&a, &b);
-            assert_eq!(ordered.vote_stats(), unordered.vote_stats());
+            let got = pooled.repair_batch(&input).unwrap();
+            assert_reports_bitwise_equal(&got, &expect);
+            assert_eq!(pooled.vote_stats(), sequential.vote_stats());
         }
-    }
-
-    #[test]
-    fn unordered_fold_still_honors_the_deadline() {
-        let (input, master) = fixture();
-        let mut repairer = BatchRepairer::new(master, (1, 1), rules(&input), 0).unwrap();
-        repairer.set_unordered(true);
-        let expired = Instant::now() - std::time::Duration::from_millis(1);
-        assert_eq!(
-            repairer.repair_batch_deadline(&input, expired).unwrap_err(),
-            BatchError::DeadlineExceeded
-        );
-        assert!(repairer.repair_batch(&input).is_ok());
     }
 
     #[test]

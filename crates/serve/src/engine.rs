@@ -237,36 +237,6 @@ impl RepairEngine {
         self.analyze_with_master(&self.master_snapshot())
     }
 
-    /// Whether a live confluence certificate currently licenses the
-    /// engines' arrival-order merge paths — the `confluence_certified`
-    /// field of the serve `stats` op.
-    pub fn confluence_certified(&self) -> bool {
-        self.engine.confluence_certified()
-    }
-
-    /// Install (or drop) the arrival-order license from an analysis report
-    /// already computed for this engine's rules and master: a certified
-    /// confluence pass over the matching rule count stamps every shard;
-    /// anything else clears any existing stamp. Returns whether the
-    /// license is now held. The generation check inside the stamp refuses
-    /// reports that raced with an append.
-    pub fn apply_confluence(&self, report: &AnalysisReport) -> bool {
-        let cert = &report.confluence;
-        if cert.certified && cert.num_rules == self.rules.len() {
-            self.engine.set_confluence_stamp(cert.generation)
-        } else {
-            self.engine.clear_confluence_stamp();
-            false
-        }
-    }
-
-    /// Re-run the confluence pass against the current master and install
-    /// or drop the arrival-order license accordingly — the re-check serve
-    /// performs at startup and after every `reload`/`append`.
-    pub fn restamp_confluence(&self) -> bool {
-        self.apply_confluence(&self.analyze())
-    }
-
     /// [`RepairEngine::analyze`] against an explicit master relation — used
     /// by the serve `append` gate to analyze a preview of the grown master
     /// before committing the rows.

@@ -65,10 +65,6 @@ pub struct Metrics {
     shard_broadcast: AtomicU64,
     shard_rows_max: AtomicU64,
     shard_rows_total: AtomicU64,
-    /// Gauge (0/1): whether the engine holds a live er-analyze confluence
-    /// certificate licensing its arrival-order merge paths. Stored at load
-    /// and after every reload/append re-check.
-    confluence_certified: AtomicU64,
     /// Per-diagnostic-code breakdown of gate rejections, so `stats` can
     /// attribute *why* promotions were refused (BTreeMap: deterministic
     /// rendering order).
@@ -105,7 +101,6 @@ impl Metrics {
             shard_broadcast: AtomicU64::new(0),
             shard_rows_max: AtomicU64::new(0),
             shard_rows_total: AtomicU64::new(0),
-            confluence_certified: AtomicU64::new(0),
             rejected_by_code: Mutex::new(BTreeMap::new()),
             latencies: Mutex::new(Reservoir {
                 buf: Vec::new(),
@@ -203,13 +198,6 @@ impl Metrics {
         self.shard_rows_total.store(rows_total, Ordering::Relaxed);
     }
 
-    /// Update the confluence-certificate gauge (at load and after every
-    /// reload/append re-check of the certificate).
-    pub fn set_confluence_certified(&self, certified: bool) {
-        self.confluence_certified
-            .store(u64::from(certified), Ordering::Relaxed);
-    }
-
     /// A consistent-enough snapshot for reporting (counters are read
     /// individually; exactness across counters is not required).
     pub fn snapshot(&self, queue_depth: usize) -> Snapshot {
@@ -244,7 +232,6 @@ impl Metrics {
             shard_broadcast: self.shard_broadcast.load(Ordering::Relaxed),
             shard_rows_max: self.shard_rows_max.load(Ordering::Relaxed),
             shard_rows_total: self.shard_rows_total.load(Ordering::Relaxed),
-            confluence_certified: self.confluence_certified.load(Ordering::Relaxed) != 0,
             queue_depth,
             p50_us,
             p99_us,
@@ -305,9 +292,6 @@ pub struct Snapshot {
     pub shard_rows_max: u64,
     /// Master rows across all shards.
     pub shard_rows_total: u64,
-    /// Whether a live confluence certificate licenses the engine's
-    /// arrival-order merge paths.
-    pub confluence_certified: bool,
     /// Repair requests in flight when the snapshot was taken.
     pub queue_depth: usize,
     /// Median repair latency over the window, microseconds.
@@ -388,10 +372,6 @@ impl Snapshot {
             (
                 "shard_imbalance".to_string(),
                 Json::Float(self.shard_imbalance()),
-            ),
-            (
-                "confluence_certified".to_string(),
-                Json::Bool(self.confluence_certified),
             ),
             (
                 "queue_depth".to_string(),
@@ -526,20 +506,6 @@ mod tests {
         let s = m.snapshot(0);
         assert_eq!(s.shard_routed, 120);
         assert!((s.shard_imbalance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confluence_gauge_tracks_the_latest_verdict() {
-        let m = Metrics::new();
-        assert!(!m.snapshot(0).confluence_certified, "uncertified at birth");
-        m.set_confluence_certified(true);
-        let s = m.snapshot(0);
-        assert!(s.confluence_certified);
-        let line = serde_json::to_string(&s.to_value()).unwrap();
-        assert!(line.contains("\"confluence_certified\":true"));
-        m.set_confluence_certified(false);
-        let line = serde_json::to_string(&m.snapshot(0).to_value()).unwrap();
-        assert!(line.contains("\"confluence_certified\":false"));
     }
 
     #[test]

@@ -455,6 +455,17 @@ pub fn error(message: &str) -> String {
     ]))
 }
 
+/// Internal-error response: handling the request panicked (the server
+/// caught it and keeps serving); the fault is the server's, not the
+/// request's.
+pub fn internal_error(message: &str) -> String {
+    render(&obj(vec![
+        ("ok", Json::Bool(false)),
+        ("error", Json::Str(format!("internal error: {message}"))),
+        ("internal", Json::Bool(true)),
+    ]))
+}
+
 /// Backpressure response: the in-flight queue is full; the client should
 /// retry after a backoff.
 pub fn overloaded() -> String {

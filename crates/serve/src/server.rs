@@ -7,7 +7,7 @@
 //! [`crate::tcp`]) read lines, call [`Server::handle_line`], and write the
 //! response line back; everything protocol-level lives in one place.
 
-use crate::engine::RepairEngine;
+use crate::engine::{EngineError, RepairEngine, RepairOutcome};
 use crate::lock;
 use crate::metrics::{Metrics, Snapshot};
 use crate::proto::{self, Request, RowBatch};
@@ -17,6 +17,7 @@ use er_lint::Severity;
 use er_rules::RuleStore;
 use er_table::Value;
 use std::io::{self, BufRead, Write};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -112,10 +113,6 @@ impl Server {
             stats.rows_max,
             stats.rows_total,
         );
-        // Run the confluence pass once at startup: a certified rule set
-        // licenses the commutative repair fold for the engine's lifetime
-        // (until an append or reload invalidates the stamp).
-        metrics.set_confluence_certified(engine.restamp_confluence());
         let mut store = RuleStore::new();
         store.commit(&engine.rules_json(), "initial load");
         Server {
@@ -180,7 +177,27 @@ impl Server {
     /// buffer: `repair`/`append` rows are decoded into it instead of fresh
     /// per-request vectors. Returns the response line (without the trailing
     /// newline) and whether the session should close after sending it.
+    ///
+    /// This is the request boundary: a panic while handling the line (a
+    /// bug, or a panicking reloader) is caught here, counted in `errors`
+    /// and answered with [`proto::internal_error`], so neither the pipe
+    /// session nor the TCP worker thread dies with it. Locks are released
+    /// by unwinding, and in-flight slots by their guards.
     pub fn handle_line(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
+        let handled =
+            std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch_line(line, batch)));
+        handled.unwrap_or_else(|payload| {
+            self.metrics.record_error();
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".to_string());
+            (proto::internal_error(&message), false)
+        })
+    }
+
+    fn dispatch_line(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
         let seen = self.metrics.record_request();
         if self.config.log_every > 0 && seen.is_multiple_of(self.config.log_every) {
             eprintln!("{}", self.snapshot().log_line());
@@ -226,10 +243,6 @@ impl Server {
                         self.metrics.record_rejected(&error_codes(&report.findings));
                         return (proto::analysis_rejected("reload", &report), false);
                     }
-                    // Re-check the certificate against the candidate's own
-                    // report: a confluent candidate serves unordered, a
-                    // non-confluent one silently falls back to ordered.
-                    engine.apply_confluence(&report);
                     // The edit-scope gate: diff the live set against the
                     // candidate's canonical document. ER012 (a verdict
                     // change outside the declared scope) refuses the swap.
@@ -247,17 +260,10 @@ impl Server {
                             return (proto::error(&format!("reload diff failed: {e}")), false);
                         }
                     }
-                } else {
-                    // No gate report to reuse: run the confluence pass
-                    // directly so a gate-less reload still re-earns (or
-                    // loses) the unordered-fold license.
-                    engine.restamp_confluence();
                 }
                 let rules = engine.num_rules();
                 let candidate_json = engine.rules_json();
                 self.metrics.set_engine_generation(engine.generation());
-                self.metrics
-                    .set_confluence_certified(engine.confluence_certified());
                 *self.engine.write() = engine;
                 self.metrics.record_reload();
                 let note = match &diff {
@@ -307,7 +313,6 @@ impl Server {
         // reloader (the sole outer writer) stay exclusive with us.
         let engine = self.engine.read();
         let txn = engine.begin_append();
-        let mut gate_report = None;
         if self.config.analysis_gate {
             // A row the preview cannot take will fail the real append with
             // its proper row error; only a clean preview is analyzed.
@@ -319,7 +324,6 @@ impl Server {
                     self.metrics.record_rejected(&error_codes(&report.findings));
                     return (proto::analysis_rejected("append", &report), false);
                 }
-                gate_report = Some(report);
             }
         }
         let result = txn.commit(rows);
@@ -327,16 +331,6 @@ impl Server {
             Ok(outcome) => {
                 self.metrics.record_append();
                 self.metrics.set_engine_generation(outcome.generation);
-                // Committing invalidated the confluence stamp. The gate's
-                // preview report analyzed exactly the combined master this
-                // commit produced (same generation), so it can re-earn the
-                // stamp; a stale or absent report leaves the engine on the
-                // ordered fallback until the next reload.
-                if let Some(report) = &gate_report {
-                    engine.apply_confluence(report);
-                }
-                self.metrics
-                    .set_confluence_certified(engine.confluence_certified());
                 self.publish_shard_stats(&engine);
                 drop(engine);
                 (proto::ok_append(&outcome), false)
@@ -351,28 +345,12 @@ impl Server {
 
     fn handle_repair(&self, rows: &[Vec<Value>]) -> (String, bool) {
         // Admission control: claim an in-flight slot or push back.
-        if !self.try_claim_slot() {
+        let Some(slot) = self.try_claim_slot() else {
             self.metrics.record_overloaded();
             return (proto::overloaded(), false);
-        }
-        let started = Instant::now();
-        let deadline = self.config.deadline.map(|d| started + d);
-        // Hold the read guard across the repair *and* the stats read, so the
-        // vote-batching gauges reflect the engine that served this request.
-        let (result, votes) = {
-            let engine = self.engine.read();
-            let result = engine.repair(rows, deadline);
-            self.publish_shard_stats(&engine);
-            (result, engine.vote_stats())
         };
-        self.release_slot();
-        match result {
-            Ok(outcome) => {
-                self.metrics
-                    .record_repair(started.elapsed(), outcome.fixed());
-                self.metrics.set_vote_stats(votes.rows, votes.probes);
-                (proto::ok_repair(&outcome), false)
-            }
+        match self.repair_in_slot(rows, slot) {
+            Ok(outcome) => (proto::ok_repair(&outcome), false),
             Err(e) => {
                 self.metrics.record_error();
                 (proto::error(&e.to_string()), false)
@@ -380,31 +358,46 @@ impl Server {
         }
     }
 
-    /// Try to claim one in-flight backpressure slot; false = at capacity.
-    fn try_claim_slot(&self) -> bool {
-        let depth = self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if depth >= self.config.queue_capacity {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        true
+    /// Repair `rows` under a claimed in-flight `slot`, released as soon as
+    /// the engine answers. The read guard is held across the repair *and*
+    /// the stats read, so the vote-batching gauges reflect the engine that
+    /// served this request.
+    fn repair_in_slot(
+        &self,
+        rows: &[Vec<Value>],
+        slot: Slot<'_>,
+    ) -> Result<RepairOutcome, EngineError> {
+        let started = Instant::now();
+        let deadline = self.config.deadline.map(|d| started + d);
+        let (result, votes) = {
+            let engine = self.engine.read();
+            let result = engine.repair(rows, deadline);
+            self.publish_shard_stats(&engine);
+            (result, engine.vote_stats())
+        };
+        drop(slot);
+        let outcome = result?;
+        self.metrics
+            .record_repair(started.elapsed(), outcome.fixed());
+        self.metrics.set_vote_stats(votes.rows, votes.probes);
+        Ok(outcome)
     }
 
-    /// Release a previously claimed backpressure slot.
-    fn release_slot(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    /// Try to claim one in-flight backpressure slot; `None` = at capacity.
+    fn try_claim_slot(&self) -> Option<Slot<'_>> {
+        Slot::claim(&self.in_flight, self.config.queue_capacity)
     }
 
     /// Claim a slot, waiting for one to free up instead of refusing —
     /// used between `repair_csv` chunks, where the file as a whole was
-    /// already admitted. Gives up (false) once a drain begins.
-    fn claim_slot_waiting(&self) -> bool {
+    /// already admitted. Gives up (`None`) once a drain begins.
+    fn claim_slot_waiting(&self) -> Option<Slot<'_>> {
         loop {
-            if self.try_claim_slot() {
-                return true;
+            if let Some(slot) = self.try_claim_slot() {
+                return Some(slot);
             }
             if self.is_draining() {
-                return false;
+                return None;
             }
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -418,13 +411,12 @@ impl Server {
     /// The configured deadline is applied per chunk — a bounded deadline
     /// bounds each chunk's vote, not the whole (arbitrarily long) file.
     fn handle_repair_csv(&self, path: &str, chunk_bytes: Option<usize>) -> (String, bool) {
-        if !self.try_claim_slot() {
+        // The admission claim is given back at once: between chunks the
+        // stream loop claims its own slot, so it never double-counts.
+        if self.try_claim_slot().is_none() {
             self.metrics.record_overloaded();
             return (proto::overloaded(), false);
         }
-        // Between chunks the stream loop claims its own slot; drop the
-        // admission claim so it never double-counts.
-        self.release_slot();
         let result = self.repair_csv_stream(path, chunk_bytes);
         match result {
             Ok((rows, chunks, fixed)) => (proto::ok_repair_csv(rows, chunks, fixed), false),
@@ -467,28 +459,39 @@ impl Server {
             // One backpressure slot per chunk: between chunks the slot is
             // free and interactive repairs can slip in (waiting here, not
             // refusing — the file itself was admitted up front).
-            if !self.claim_slot_waiting() {
+            let Some(slot) = self.claim_slot_waiting() else {
                 return Err("repair_csv: server is draining".into());
-            }
-            let started = Instant::now();
-            let deadline = self.config.deadline.map(|d| started + d);
-            let (result, votes) = {
-                let engine = self.engine.read();
-                let result = engine.repair(&rows, deadline);
-                self.publish_shard_stats(&engine);
-                (result, engine.vote_stats())
             };
-            self.release_slot();
-            let outcome = result.map_err(|e| format!("repair_csv: {e}"))?;
-            self.metrics
-                .record_repair(started.elapsed(), outcome.fixed());
-            self.metrics.set_vote_stats(votes.rows, votes.probes);
+            let outcome = self
+                .repair_in_slot(&rows, slot)
+                .map_err(|e| format!("repair_csv: {e}"))?;
             fixed += outcome.fixed();
         }
         let stats = stream.stats();
         self.metrics
             .record_ingest(stats.rows as u64, stats.chunks as u64);
         Ok((stats.rows, stats.chunks, fixed))
+    }
+}
+
+/// One claimed in-flight backpressure slot, released when dropped — also
+/// when a panic unwinds through the request, so a caught panic cannot leak
+/// queue capacity.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl<'a> Slot<'a> {
+    /// Claim a slot of `in_flight` unless `capacity` are already held.
+    fn claim(in_flight: &'a AtomicUsize, capacity: usize) -> Option<Self> {
+        let depth = in_flight.fetch_add(1, Ordering::SeqCst);
+        let slot = Slot(in_flight);
+        // Over capacity: dropping the guard gives the claim back.
+        (depth < capacity).then_some(slot)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -597,6 +600,25 @@ pub fn serve_pipe<R: BufRead, W: Write>(
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn slot_held_across_a_caught_panic_is_released() {
+        let in_flight = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            let _slot = Slot::claim(&in_flight, 1).unwrap();
+            assert_eq!(in_flight.load(Ordering::SeqCst), 1);
+            panic!("mid-repair");
+        });
+        assert!(caught.is_err());
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "queue depth back to 0");
+        // The capacity is whole again: a claim succeeds, a second is refused
+        // and leaves the depth untouched.
+        let slot = Slot::claim(&in_flight, 1).unwrap();
+        assert!(Slot::claim(&in_flight, 1).is_none());
+        assert_eq!(in_flight.load(Ordering::SeqCst), 1);
+        drop(slot);
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+    }
 
     #[test]
     fn bounded_reader_splits_lines() {

@@ -416,3 +416,61 @@ fn full_accept_queue_is_refused_with_backpressure() {
     tcp.shutdown();
     tcp.join();
 }
+
+/// A panic inside request handling is caught at the request boundary: the
+/// client gets an internal-error line, the error is counted, and the one
+/// worker thread survives to answer the next request on the same
+/// connection.
+#[test]
+fn panicking_reload_answers_an_error_and_the_connection_keeps_serving() {
+    let (task, batch) = fixture();
+    let engine = RepairEngine::new(&task, rules(), 0).unwrap();
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Arc::new(
+        Server::new(engine, config).with_reloader(Box::new(|| panic!("reloader exploded"))),
+    );
+    let tcp = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(tcp.local_addr()).unwrap();
+    // A dead worker would leave the reply pending forever: fail instead.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut ask = |request: &str| -> Json {
+        writeln!(writer, "{request}").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        serde_json::from_str(&line).unwrap()
+    };
+
+    let reload = ask("{\"op\":\"reload\"}");
+    assert_eq!(reload.get("ok"), Some(&Json::Bool(false)), "{reload:?}");
+    assert_eq!(
+        reload.get("internal"),
+        Some(&Json::Bool(true)),
+        "{reload:?}"
+    );
+    let message = reload.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("reloader exploded"), "{message}");
+
+    let ping = ask("{\"op\":\"ping\"}");
+    assert_eq!(ping.get("ok"), Some(&Json::Bool(true)), "{ping:?}");
+    let repair = ask(&batch_request(&batch));
+    assert_eq!(repair.get("ok"), Some(&Json::Bool(true)), "{repair:?}");
+    let stats = ask("{\"op\":\"stats\"}");
+    let stats = stats.get("stats").unwrap();
+    let num = |key: &str| match stats.get(key) {
+        Some(Json::Int(i)) => *i,
+        Some(Json::UInt(u)) => *u as i64,
+        other => panic!("{key}: {other:?}"),
+    };
+    assert_eq!(num("errors"), 1);
+    assert_eq!(num("queue_depth"), 0);
+
+    ask("{\"op\":\"shutdown\"}");
+    tcp.join();
+}

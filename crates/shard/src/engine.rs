@@ -2,16 +2,23 @@
 //! read/write locks, a global row-order ledger for reconstructing the
 //! combined master, and the fan-out/merge logic for repairs and appends.
 //!
+//! A repair fans the non-empty shard sub-batches out over an
+//! [`er_par::WorkerPool`] (one worker per shard) and merges the answers in
+//! ascending shard order. A request that routes to one shard runs inline on
+//! the caller's thread; when several shards run, each shard's own group
+//! fan-out runs inline inside its pool worker (the pool never nests).
+//!
 //! Lock discipline (deadlock freedom): every multi-lock acquisition takes
 //! the order ledger first, then the shard locks in ascending shard id.
 //! Repairs take only individual shard read locks; appends take everything.
 
 use crate::plan::{Route, ShardPlan};
 use er_incr::{AppendOutcome, IncrCounters, IncrEngine};
+use er_par::WorkerPool;
 use er_rules::{BatchError, EditingRule, RepairReport, VoteStats};
 use er_table::{AttrId, Code, Relation, RelationBuilder, Value};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Result of a sharded repair: per-row predictions, winning scores and
@@ -81,12 +88,6 @@ pub struct ShardedEngine {
     order: RwLock<Vec<u32>>,
     routed: AtomicU64,
     broadcast: AtomicU64,
-    /// Whether every shard holds a live er-analyze confluence-certificate
-    /// stamp. The license for both arrival-order paths: the per-shard
-    /// group fan-out (`BatchRepairer::set_unordered`) and the cross-shard
-    /// merge-on-arrival in [`ShardedEngine::repair_batch`]. Any committed
-    /// append clears it until the serving layer re-runs the pass.
-    certified: AtomicBool,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -114,90 +115,34 @@ impl ShardedEngine {
     ) -> Result<Self, BatchError> {
         let plan = ShardPlan::new(shards, &rules);
         let n = plan.shards();
-        if n == 1 {
-            let order = vec![0u32; master.num_rows()];
-            let engine = IncrEngine::new(master, target, rules, threads)?;
-            return Ok(ShardedEngine {
-                plan,
-                base_generation: 0,
-                shards: vec![RwLock::new(engine)],
-                order: RwLock::new(order),
-                routed: AtomicU64::new(0),
-                broadcast: AtomicU64::new(0),
-                certified: AtomicBool::new(false),
-            });
-        }
-        let base_generation = master.generation();
-        let mut order = Vec::with_capacity(master.num_rows());
-        let mut rows_per: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for row in 0..master.num_rows() {
-            let shard = match plan.key() {
-                Some((_, xm)) => plan.place(&master.value(row, xm)),
-                None => 0,
-            };
-            order.push(shard as u32);
-            rows_per[shard].push(row);
-        }
-        let mut engines = Vec::with_capacity(n);
-        for rows in &rows_per {
-            let sub = master.gather(rows);
-            engines.push(RwLock::new(IncrEngine::new(
-                sub,
-                target,
-                rules.clone(),
-                threads,
-            )?));
-        }
+        let (base_generation, order, masters) = if n == 1 {
+            (0, vec![0u32; master.num_rows()], vec![master])
+        } else {
+            let mut order = Vec::with_capacity(master.num_rows());
+            let mut rows_per: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for row in 0..master.num_rows() {
+                let shard = match plan.key() {
+                    Some((_, xm)) => plan.place(&master.value(row, xm)),
+                    None => 0,
+                };
+                order.push(shard as u32);
+                rows_per[shard].push(row);
+            }
+            let masters = rows_per.iter().map(|rows| master.gather(rows)).collect();
+            (master.generation(), order, masters)
+        };
+        let shards = masters
+            .into_iter()
+            .map(|sub| IncrEngine::new(sub, target, rules.clone(), threads).map(RwLock::new))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardedEngine {
             plan,
             base_generation,
-            shards: engines,
+            shards,
             order: RwLock::new(order),
             routed: AtomicU64::new(0),
             broadcast: AtomicU64::new(0),
-            certified: AtomicBool::new(false),
         })
-    }
-
-    /// Install a confluence-certificate stamp issued at aggregate master
-    /// generation `generation`: every shard switches its group fan-out to
-    /// arrival order and [`ShardedEngine::repair_batch`] merges shard
-    /// answers as they complete instead of in ascending shard order.
-    /// Returns whether the license took — the stamp must match the live
-    /// aggregate generation, else everything stays (or reverts to) ordered.
-    /// Takes every write lock briefly; the engine does not re-verify the
-    /// certificate — callers run the er-analyze confluence pass first.
-    pub fn set_confluence_stamp(&self, generation: u64) -> bool {
-        let _order = self.order.write();
-        let mut shards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let live = self.base_generation + shards.iter().map(|s| s.generation()).sum::<u64>();
-        let ok = generation == live;
-        for shard in &mut shards {
-            if ok {
-                let g = shard.generation();
-                shard.set_confluence_stamp(g);
-            } else {
-                shard.clear_confluence_stamp();
-            }
-        }
-        self.certified.store(ok, Ordering::Release);
-        ok
-    }
-
-    /// Drop the certificate stamp everywhere: every shard's fan-out and
-    /// the cross-shard merge return to their ordered paths.
-    pub fn clear_confluence_stamp(&self) {
-        let _order = self.order.write();
-        let mut shards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        for shard in &mut shards {
-            shard.clear_confluence_stamp();
-        }
-        self.certified.store(false, Ordering::Release);
-    }
-
-    /// Whether the arrival-order paths are currently licensed.
-    pub fn confluence_certified(&self) -> bool {
-        self.certified.load(Ordering::Acquire)
     }
 
     /// The placement plan.
@@ -220,15 +165,11 @@ impl ShardedEngine {
         self.broadcast.load(Ordering::Relaxed)
     }
 
-    /// Repair one batch: route each row by the plan, fan sub-batches out to
-    /// their shards (in parallel), and merge. Without a confluence stamp
-    /// the merge waits for every shard and applies answers in ascending
-    /// shard order; with one ([`ShardedEngine::set_confluence_stamp`]) each
-    /// shard's answer is merged the moment it completes. Both are bitwise
-    /// identical to the single engine on the same batch — see
-    /// [`merge_shard`] for why arrival order is invisible. The first shard
-    /// error wins (ascending order unstamped, arrival order stamped); the
-    /// distinction matters only for the inherently timing-dependent
+    /// Repair one batch: route each row by the plan, fan the non-empty
+    /// sub-batches out to their shards over the worker pool, and merge the
+    /// answers in ascending shard order — bitwise identical to the single
+    /// engine on the same batch. The first shard error in shard order wins;
+    /// the choice matters only for the inherently timing-dependent
     /// `DeadlineExceeded`, since every other error is identical across
     /// shards (same rules, schema, and pool everywhere).
     pub fn repair_batch(
@@ -246,7 +187,6 @@ impl ShardedEngine {
         let rows = batch.num_rows();
         let key_x = self.plan.key().map(|(x, _)| x);
         let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut routes: Vec<Route> = Vec::with_capacity(rows);
         let (mut routed, mut broadcast) = (0u64, 0u64);
         for row in 0..rows {
             let route = match key_x {
@@ -265,85 +205,29 @@ impl ShardedEngine {
                     }
                 }
             }
-            routes.push(route);
         }
         self.routed.fetch_add(routed, Ordering::Relaxed);
         self.broadcast.fetch_add(broadcast, Ordering::Relaxed);
 
+        let busy: Vec<usize> = (0..n).filter(|&s| !lists[s].is_empty()).collect();
+        let results = WorkerPool::new(n).map(&busy, |&s| {
+            run_repair(&self.shards[s].read(), &batch.gather(&lists[s]), deadline)
+        });
         let mut merged = ShardedRepair {
             predictions: vec![None; rows],
             scores: vec![0.0; rows],
             candidates: vec![0; rows],
         };
-        let mut filled = vec![false; rows];
-
-        if self.certified.load(Ordering::Acquire) {
-            // Certificate-licensed merge-on-arrival: shard answers stream
-            // over a channel and scatter into `merged` as they land, so the
-            // slowest shard no longer serializes the whole collect loop.
-            let mut failure: Option<BatchError> = None;
-            std::thread::scope(|scope| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                for (s, list) in lists.iter().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    let sub = batch.gather(list);
-                    let shard = &self.shards[s];
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        // The receiver drains the channel before the scope
-                        // joins the workers, so this send cannot fail.
-                        let _ = tx.send((s, run_repair(&shard.read(), &sub, deadline)));
-                    });
-                }
-                drop(tx);
-                for (s, result) in rx {
-                    match result {
-                        Ok(report) => {
-                            merge_shard(&mut merged, &mut filled, &routes, &lists[s], s, &report);
-                        }
-                        Err(e) => {
-                            failure.get_or_insert(e);
-                        }
-                    }
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            return Ok(merged);
-        }
-
-        let mut results: Vec<Option<Result<RepairReport, BatchError>>> =
-            (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (s, list) in lists.iter().enumerate() {
-                if list.is_empty() {
-                    continue;
-                }
-                let sub = batch.gather(list);
-                let shard = &self.shards[s];
-                handles.push((
-                    s,
-                    scope.spawn(move || run_repair(&shard.read(), &sub, deadline)),
-                ));
-            }
-            for (s, handle) in handles {
-                results[s] = Some(match handle.join() {
-                    Ok(result) => result,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                });
-            }
-        });
-        for (s, result) in results.into_iter().enumerate() {
-            match result {
-                None => {}
-                Some(Ok(report)) => {
-                    merge_shard(&mut merged, &mut filled, &routes, &lists[s], s, &report);
-                }
-                Some(Err(e)) => return Err(e),
+        // A routed row is in exactly one shard's list. A broadcast row — NULL
+        // routing key, and the routing pair is in every rule's LHS — fires
+        // no rule on any shard, so every shard answers it with the same
+        // `(None, 0.0, 0)` and overwriting it changes nothing.
+        for (&s, result) in busy.iter().zip(results) {
+            let report = result?;
+            for (local, &row) in lists[s].iter().enumerate() {
+                merged.predictions[row] = report.predictions[local];
+                merged.scores[row] = report.scores[local];
+                merged.candidates[row] = report.candidates[local];
             }
         }
         Ok(merged)
@@ -359,7 +243,6 @@ impl ShardedEngine {
             base_generation: self.base_generation,
             order: self.order.write(),
             shards: self.shards.iter().map(|s| s.write()).collect(),
-            certified: &self.certified,
         }
     }
 
@@ -393,34 +276,6 @@ impl ShardedEngine {
             broadcast: self.broadcast(),
             rows_max,
             rows_total,
-        }
-    }
-}
-
-/// Scatter one shard's report into the merged result. Exact regardless of
-/// the order shards are merged in: a routed row is answered by exactly one
-/// shard, and a broadcast row — NULL routing key, and the routing pair is
-/// in every rule's LHS — fires no rule on any shard, so every shard
-/// reports the identical `(None, 0.0, 0)` for it and `filled` keeping the
-/// first arrival is exact either way.
-fn merge_shard(
-    merged: &mut ShardedRepair,
-    filled: &mut [bool],
-    routes: &[Route],
-    list: &[usize],
-    s: usize,
-    report: &RepairReport,
-) {
-    for (local, &row) in list.iter().enumerate() {
-        let own = match routes[row] {
-            Route::To(t) => t == s,
-            Route::Broadcast => !filled[row],
-        };
-        if own {
-            merged.predictions[row] = report.predictions[local];
-            merged.scores[row] = report.scores[local];
-            merged.candidates[row] = report.candidates[local];
-            filled[row] = true;
         }
     }
 }
@@ -468,7 +323,6 @@ pub struct AppendGuard<'a> {
     base_generation: u64,
     order: RwLockWriteGuard<'a, Vec<u32>>,
     shards: Vec<RwLockWriteGuard<'a, IncrEngine>>,
-    certified: &'a AtomicBool,
 }
 
 impl AppendGuard<'_> {
@@ -499,9 +353,6 @@ impl AppendGuard<'_> {
         if n == 1 {
             let outcome = self.shards[0].append_rows(rows)?;
             self.order.extend(std::iter::repeat_n(0, rows.len()));
-            if !rows.is_empty() {
-                self.invalidate_confluence();
-            }
             return Ok(outcome);
         }
         for (i, row) in rows.iter().enumerate() {
@@ -529,9 +380,6 @@ impl AppendGuard<'_> {
             }
         }
         self.order.extend(homes);
-        if !rows.is_empty() {
-            self.invalidate_confluence();
-        }
         let mut master_rows = 0;
         let mut generation = self.base_generation;
         for shard in &self.shards {
@@ -546,17 +394,6 @@ impl AppendGuard<'_> {
             // per-engine count the single path reports.
             indexes_updated: self.shards[0].num_indexes(),
         })
-    }
-
-    /// A committed append moved the aggregate generation past any held
-    /// confluence stamp: drop the arrival-order license on every shard
-    /// (even ones the append skipped — the certificate covers the combined
-    /// master, not the sub-masters) until the pass re-certifies.
-    fn invalidate_confluence(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear_confluence_stamp();
-        }
-        self.certified.store(false, Ordering::Release);
     }
 }
 
