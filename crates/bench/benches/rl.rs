@@ -11,7 +11,7 @@ use er_rl::{DqnAgent, DqnConfig, Mat, Mlp, Transition};
 use er_rlminer::{compute_mask, MinerEnv, RewardConfig, StateEncoder};
 use er_rules::{ConditionSpaceConfig, EditingRule};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_mlp(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
@@ -57,6 +57,43 @@ fn bench_dqn(c: &mut Criterion) {
     });
 }
 
+/// The traffic RLMiner feeds the agent on Covid: 210-wide states with 2–6
+/// active one-hot dims, 211 actions, random masks, one terminal transition
+/// in twelve. The dense states above never let a kernel skip a zero input.
+fn bench_dqn_onehot(c: &mut Criterion) {
+    let (state_dim, action_dim) = (210, 211);
+    let mut rng = StdRng::seed_from_u64(7);
+    let one_hot = |rng: &mut StdRng| {
+        let mut s = vec![0.0f32; state_dim];
+        for _ in 0..rng.gen_range(2..7usize) {
+            s[rng.gen_range(0..state_dim)] = 1.0;
+        }
+        s
+    };
+    let mut cfg = DqnConfig::new(state_dim, action_dim);
+    cfg.seed = 7;
+    let mut agent = DqnAgent::new(cfg);
+    for _ in 0..512 {
+        let state = one_hot(&mut rng);
+        let next = (rng.gen_range(0..12u8) != 0).then(|| {
+            let mut mask: Vec<bool> = (0..action_dim)
+                .map(|_| rng.gen_range(0..2u8) == 1)
+                .collect();
+            mask[action_dim - 1] = true;
+            (one_hot(&mut rng), mask)
+        });
+        agent.observe(Transition {
+            state,
+            action: rng.gen_range(0..action_dim),
+            reward: -0.01,
+            next,
+        });
+    }
+    c.bench_function("rl/dqn_learn_step_onehot_covid", |b| {
+        b.iter(|| black_box(agent.learn()))
+    });
+}
+
 fn bench_rlminer_step(c: &mut Criterion) {
     let s = DatasetKind::Covid.build(ScenarioConfig {
         input_size: 1000,
@@ -97,6 +134,6 @@ fn bench_rlminer_step(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_mlp, bench_dqn, bench_rlminer_step
+    targets = bench_mlp, bench_dqn, bench_dqn_onehot, bench_rlminer_step
 }
 criterion_main!(benches);

@@ -214,14 +214,11 @@ impl DqnAgent {
             return None;
         }
         let bs = self.config.batch_size;
-        // Sample the batch (with importance weights and indices under PER).
-        let (batch, weights, indices): (Vec<Transition>, Vec<f32>, Option<Vec<usize>>) =
+        // Sample the batch (with importance weights and indices under PER),
+        // borrowing the transitions from the buffer.
+        let (batch, weights, indices): (Vec<&Transition>, Vec<f32>, Option<Vec<usize>>) =
             match &mut self.replay {
-                Replay::Uniform(r) => {
-                    let b: Vec<Transition> =
-                        r.sample(bs, &mut self.rng).into_iter().cloned().collect();
-                    (b, vec![1.0; bs], None)
-                }
+                Replay::Uniform(r) => (r.sample(bs, &mut self.rng), vec![1.0; bs], None),
                 Replay::Prioritized(r) => {
                     // Anneal β toward 1 over the ε-decay horizon.
                     let frac = (self.learn_steps as f64
@@ -229,7 +226,8 @@ impl DqnAgent {
                         .min(1.0);
                     r.beta = 0.4 + 0.6 * frac;
                     let picks = r.sample(bs, &mut self.rng);
-                    let b = picks.iter().map(|&(i, _)| r.get(i).clone()).collect();
+                    let r = &*r;
+                    let b = picks.iter().map(|&(i, _)| r.get(i)).collect();
                     let w = picks.iter().map(|&(_, w)| w).collect();
                     let idx = picks.iter().map(|&(i, _)| i).collect();
                     (b, w, Some(idx))
@@ -237,34 +235,43 @@ impl DqnAgent {
             };
 
         // Q(s, ·) for the batch.
-        let mut states = Mat::zeros(bs, self.config.state_dim);
-        for (i, t) in batch.iter().enumerate() {
-            for (j, &v) in t.state.iter().enumerate() {
-                states.set(i, j, v);
-            }
-        }
+        let states = stack_rows(
+            self.config.state_dim,
+            batch.iter().map(|t| t.state.as_slice()),
+        );
         self.online.zero_grad();
         let q = self.online.forward_train(&states);
 
-        // Bootstrapped targets from the target network, masked.
+        // Bootstrapped targets, masked: one target-network forward over the
+        // batch's non-terminal next states (and one online forward under
+        // Double DQN). Rows are independent, so each equals its own 1×n pass.
+        let next_states = stack_rows(
+            self.config.state_dim,
+            batch
+                .iter()
+                .filter_map(|t| t.next.as_ref().map(|(ns, _)| ns.as_slice())),
+        );
+        let qn = self.target.forward(&next_states);
+        let qo = self
+            .config
+            .double_dqn
+            .then(|| self.online.forward(&next_states));
         let gamma = self.config.gamma;
-        let double = self.config.double_dqn;
+        let mut row = 0;
         let mut targets = vec![0.0f32; bs];
         for (i, t) in batch.iter().enumerate() {
             targets[i] = t.reward
                 + match &t.next {
                     None => 0.0,
-                    Some((ns, mask)) => {
-                        let qn = self.target.forward(&Mat::row_vector(ns));
-                        let bootstrap = if double {
+                    Some((_, mask)) => {
+                        let bootstrap = match &qo {
                             // Online net selects, target net evaluates.
-                            let qo = self.online.forward(&Mat::row_vector(ns));
-                            masked_argmax(qo.row(0), mask)
-                                .map(|a| qn.row(0)[a])
-                                .unwrap_or(0.0)
-                        } else {
-                            masked_max(qn.row(0), mask).unwrap_or(0.0)
+                            Some(qo) => masked_argmax(qo.row(row), mask)
+                                .map(|a| qn.row(row)[a])
+                                .unwrap_or(0.0),
+                            None => masked_max(qn.row(row), mask).unwrap_or(0.0),
                         };
+                        row += 1;
                         gamma * bootstrap
                     }
                 };
@@ -343,6 +350,12 @@ impl DqnAgent {
         self.online.copy_params_from(net);
         self.target.copy_params_from(net);
     }
+}
+
+/// `cols`-wide rows stacked into one matrix.
+fn stack_rows<'a>(cols: usize, rows: impl Iterator<Item = &'a [f32]>) -> Mat {
+    let data: Vec<f32> = rows.flatten().copied().collect();
+    Mat::from_vec(data.len() / cols.max(1), cols, data)
 }
 
 /// Arg-max over allowed actions; `None` if none allowed.

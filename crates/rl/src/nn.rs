@@ -3,12 +3,20 @@
 use crate::tensor::Mat;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// One fully-connected layer `y = x·Wᵀ + b` with gradient accumulators.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Linear {
-    /// Weights, `out × in` row-major.
-    pub w: Mat,
+    /// Weights, `out × in` row-major. Private, so that no write to it can
+    /// leave `wt` stale.
+    w: Mat,
+    /// `wᵀ` (`in × out`), so the forward kernel reads contiguous rows of
+    /// outputs. Whenever set, it equals the transpose of `w`: built on the
+    /// first forward pass (new or deserialized layers), rebuilt by an
+    /// optimizer step, copied along with `w` by a target sync.
+    #[serde(skip)]
+    wt: OnceLock<Mat>,
     /// Bias, length `out`.
     pub b: Vec<f32>,
     /// Accumulated weight gradients (same shape as `w`).
@@ -27,24 +35,37 @@ impl Linear {
         }
         Linear {
             w,
+            wt: OnceLock::new(),
             b: vec![0.0; out_dim],
             grad_w: Mat::zeros(out_dim, in_dim),
             grad_b: vec![0.0; out_dim],
         }
     }
 
-    /// Forward pass for a batch (`batch × in`) → (`batch × out`).
+    /// Weights, `out × in` row-major.
+    pub fn w(&self) -> &Mat {
+        &self.w
+    }
+
+    /// Re-derive `wᵀ` after a write to `w`. The writer pays for the
+    /// transpose, not whichever forward pass comes next.
+    fn refresh_wt(&mut self) {
+        self.wt = OnceLock::from(self.w.transpose());
+    }
+
+    /// Forward pass for a batch (`batch × in`) → (`batch × out`): one
+    /// [`Mat::matmul`] against `wᵀ`, then the bias. Each output element is
+    /// the same `k`-ascending sum as `x.matmul_t(w)`, bit for bit.
     pub fn forward(&self, x: &Mat) -> Mat {
-        let mut out = x.matmul_t(&self.w);
+        let mut out = x.matmul(self.wt.get_or_init(|| self.w.transpose()));
         out.add_row_bias(&self.b);
         out
     }
 
-    /// Backward pass: given `x` (the forward input) and `grad_out`
-    /// (`batch × out`), accumulate parameter gradients and return
-    /// `grad_in` (`batch × in`).
-    pub fn backward(&mut self, x: &Mat, grad_out: &Mat) -> Mat {
-        // dW = grad_outᵀ · x ; db = Σ_batch grad_out ; dx = grad_out · W.
+    /// Backward pass, parameter half: given `x` (the forward input) and
+    /// `grad_out` (`batch × out`), accumulate `dW = grad_outᵀ · x` and
+    /// `db = Σ_batch grad_out`.
+    pub(crate) fn accumulate_grads(&mut self, x: &Mat, grad_out: &Mat) {
         let dw = grad_out.t_matmul(x);
         for (g, d) in self.grad_w.data_mut().iter_mut().zip(dw.data()) {
             *g += d;
@@ -54,6 +75,10 @@ impl Linear {
                 *gb += g;
             }
         }
+    }
+
+    /// Backward pass, input half: `grad_in = grad_out · W` (`batch × in`).
+    pub(crate) fn input_grad(&self, grad_out: &Mat) -> Mat {
         grad_out.matmul(&self.w)
     }
 
@@ -122,13 +147,10 @@ impl Mlp {
 
     /// Inference forward pass (no caches touched).
     pub fn forward(&self, x: &Mat) -> Mat {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
+        let mut h = self.layers[0].forward(x);
+        for layer in &self.layers[1..] {
+            h.relu_inplace();
             h = layer.forward(&h);
-            if i != last {
-                h.relu_inplace();
-            }
         }
         h
     }
@@ -136,20 +158,20 @@ impl Mlp {
     /// Forward pass caching intermediates for [`Mlp::backward`].
     pub fn forward_train(&mut self, x: &Mat) -> Mat {
         self.cache.clear();
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            self.cache.push(h.clone());
-            h = layer.forward(&h);
-            if i != last {
-                h.relu_inplace();
-            }
+        self.cache.push(x.clone());
+        let mut h = self.layers[0].forward(x);
+        for layer in &self.layers[1..] {
+            h.relu_inplace();
+            let out = layer.forward(&h);
+            self.cache.push(h);
+            h = out;
         }
         h
     }
 
     /// Backpropagate `grad_out` (gradient w.r.t. the network output of the
-    /// last `forward_train` batch), accumulating parameter gradients.
+    /// last `forward_train` batch), accumulating parameter gradients. The
+    /// gradient w.r.t. the network input is not computed: nothing reads it.
     ///
     /// # Panics
     /// Panics if `forward_train` has not been called.
@@ -161,21 +183,18 @@ impl Mlp {
         );
         let mut grad = grad_out.clone();
         for i in (0..self.layers.len()).rev() {
-            let x = &self.cache[i];
-            if i != self.layers.len() - 1 {
-                // Gradient through the ReLU that followed layer i: recompute
-                // the activation (y = relu(layer_i(x)) = input cached for
-                // layer i+1).
-                let y = &self.cache[i + 1];
-                for r in 0..grad.rows() {
-                    for c in 0..grad.cols() {
-                        if y.get(r, c) <= 0.0 {
-                            grad.set(r, c, 0.0);
-                        }
-                    }
+            self.layers[i].accumulate_grads(&self.cache[i], &grad);
+            if i == 0 {
+                break;
+            }
+            grad = self.layers[i].input_grad(&grad);
+            // Through the ReLU that produced layer i's input: its output
+            // (the cached input) is zero exactly where the gradient stops.
+            for (g, &y) in grad.data_mut().iter_mut().zip(self.cache[i].data()) {
+                if y <= 0.0 {
+                    *g = 0.0;
                 }
             }
-            grad = self.layers[i].backward(x, &grad);
         }
     }
 
@@ -187,17 +206,12 @@ impl Mlp {
     }
 
     /// Visit each parameter tensor with its gradient:
-    /// `f(tensor_index, params, grads)`.
+    /// `f(tensor_index, params, grads)`. Weights come `out × in` row-major.
     pub fn visit_params(&mut self, mut f: impl FnMut(usize, &mut [f32], &[f32])) {
-        let mut idx = 0;
-        for layer in &mut self.layers {
-            // Split borrows: clone grads (small) to keep the closure simple.
-            let gw = layer.grad_w.data().to_vec();
-            f(idx, layer.w.data_mut(), &gw);
-            idx += 1;
-            let gb = layer.grad_b.clone();
-            f(idx, &mut layer.b, &gb);
-            idx += 1;
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            f(2 * i, layer.w.data_mut(), layer.grad_w.data());
+            layer.refresh_wt();
+            f(2 * i + 1, &mut layer.b, &layer.grad_b);
         }
     }
 
@@ -214,6 +228,7 @@ impl Mlp {
         assert_eq!(self.layers.len(), other.layers.len());
         for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
             dst.w = src.w.clone();
+            dst.wt = src.wt.clone();
             dst.b = src.b.clone();
         }
     }
@@ -270,11 +285,15 @@ mod tests {
         let eps = 1e-3f32;
         for idx in [0usize, 3, 7] {
             let orig = mlp.layers[0].w.data()[idx];
-            mlp.layers[0].w.data_mut()[idx] = orig + eps;
+            let set_w0 = |mlp: &mut Mlp, v: f32| {
+                mlp.layers[0].w.data_mut()[idx] = v;
+                mlp.layers[0].refresh_wt();
+            };
+            set_w0(&mut mlp, orig + eps);
             let lp = loss(&mlp);
-            mlp.layers[0].w.data_mut()[idx] = orig - eps;
+            set_w0(&mut mlp, orig - eps);
             let lm = loss(&mlp);
-            mlp.layers[0].w.data_mut()[idx] = orig;
+            set_w0(&mut mlp, orig);
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = analytic_w0.data()[idx];
             assert!(

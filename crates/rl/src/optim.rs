@@ -49,15 +49,13 @@ impl Adam {
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let (ms, vs) = (&mut self.m, &mut self.v);
         net.visit_params(|idx, params, grads| {
-            let m = &mut ms[idx];
-            let v = &mut vs[idx];
-            for i in 0..params.len() {
-                let g = grads[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            let moments = ms[idx].iter_mut().zip(vs[idx].iter_mut());
+            for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         });
     }

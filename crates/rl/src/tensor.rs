@@ -1,4 +1,10 @@
 //! Dense row-major `f32` matrices.
+//!
+//! Every product here accumulates each output element in one `f32`, from
+//! `+0.0`, over the inner index in ascending order, one multiply then one
+//! add per term. Kernels differ only in which independent elements they
+//! advance together and in which zero terms they skip; neither changes a
+//! bit of the result (DESIGN §18).
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -69,22 +75,49 @@ impl Mat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · other`.
+    /// Matrix product `self · other`: the value network's forward kernel
+    /// (`x · Wᵀ` with `other = Wᵀ`).
+    ///
+    /// Row `i` of the output is built as `Σ_k self[i,k] · other[k,·]`, `k`
+    /// ascending, so the inner loop runs across independent output elements
+    /// of one row and vectorises, whatever the row count. It folds four
+    /// terms into each element per pass, `(((o + a₀b₀) + a₁b₁) + a₂b₂) +
+    /// a₃b₃`: the same operations in the same order as four passes, with a
+    /// quarter of the loads and stores of the output row. A term with
+    /// `self[i,k] == 0` is skipped: an accumulator that starts at `+0.0` is
+    /// never `-0.0`, so adding `±0.0` cannot change it (finite `other`).
+    /// One-hot states keep 2–6 of ~210 inputs.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Mat::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue; // one-hot states make inputs very sparse
+        let n = other.cols;
+        let mut out = Mat::zeros(self.rows, n);
+        let w = |k: usize| &other.data[k * n..(k + 1) * n];
+        // Indices of the row's nonzero inputs, gathered without a branch:
+        // ReLU zeros fall at random, so a branch per input mispredicts
+        // often (branchless: 172 → 110 µs per batch-32 Covid forward on a
+        // 2-vCPU Xeon).
+        let mut nonzero = vec![0usize; self.cols];
+        let rows = self.data.chunks_exact(self.cols.max(1));
+        for (x, o) in rows.zip(out.data.chunks_exact_mut(n.max(1))) {
+            let mut m = 0;
+            for (k, &a) in x.iter().enumerate() {
+                nonzero[m] = k;
+                m += usize::from(a != 0.0);
+            }
+            let mut quads = nonzero[..m].chunks_exact(4);
+            for q in &mut quads {
+                let (a0, a1, a2, a3) = (x[q[0]], x[q[1]], x[q[2]], x[q[3]]);
+                let ws = w(q[0]).iter().zip(w(q[1])).zip(w(q[2]).iter().zip(w(q[3])));
+                for (o, ((&b0, &b1), (&b2, &b3))) in o.iter_mut().zip(ws) {
+                    *o = (((*o + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3;
                 }
-                let lhs_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let rhs_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in lhs_row.iter_mut().zip(rhs_row) {
+            }
+            for &k in quads.remainder() {
+                let a = x[k];
+                for (o, &b) in o.iter_mut().zip(w(k)) {
                     *o += a * b;
                 }
             }
@@ -92,27 +125,18 @@ impl Mat {
         out
     }
 
-    /// Matrix product `selfᵀ · other` without materializing the transpose.
+    /// Matrix product `selfᵀ · other`: the weight-gradient kernel
+    /// (`dW = gᵀ · x`). Element `(i, j)` sums `self[r,i] · other[r,j]` over
+    /// `r` ascending, which is [`Mat::matmul`] on the transpose of `self`.
     pub fn t_matmul(&self, other: &Mat) -> Mat {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        let mut out = Mat::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            for i in 0..self.cols {
-                let a = self.get(r, i);
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let rhs_row = &other.data[r * other.cols..(r + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        self.transpose().matmul(other)
     }
 
-    /// Matrix product `self · otherᵀ` without materializing the transpose.
+    /// Matrix product `self · otherᵀ` as one dot product per element: the
+    /// naive single-accumulator reference the forward kernel
+    /// ([`Mat::matmul`] against a transposed weight) is tested against bit
+    /// for bit. Latency-bound; not on any hot path.
     pub fn matmul_t(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         let mut out = Mat::zeros(self.rows, other.rows);
@@ -125,6 +149,20 @@ impl Mat {
                     acc += x * y;
                 }
                 out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// The transpose, as a new matrix. Writes run along output rows; the
+    /// strided reads of one input column touch `rows` cache lines, which
+    /// the next column reuses.
+    pub fn transpose(&self) -> Mat {
+        let mut out = Mat::zeros(self.cols, self.rows);
+        let rows = self.data.chunks_exact(self.cols.max(1));
+        for (c, out_row) in out.data.chunks_exact_mut(self.rows.max(1)).enumerate() {
+            for (o, row) in out_row.iter_mut().zip(rows.clone()) {
+                *o = row[c];
             }
         }
         out
@@ -184,6 +222,16 @@ mod tests {
             vec![0.0, 3.0, 6.0, 9.0, 1.0, 4.0, 7.0, 10.0, 2.0, 5.0, 8.0, 11.0],
         );
         assert_eq!(got, a.matmul(&bt));
+    }
+
+    #[test]
+    fn transpose_swaps_indices() {
+        let a = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let t = a.transpose();
+        assert_eq!((t.rows(), t.cols()), (3, 2));
+        assert_eq!(t.data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(t.transpose(), a);
+        assert_eq!(Mat::zeros(0, 4).transpose(), Mat::zeros(4, 0));
     }
 
     #[test]

@@ -4,18 +4,98 @@
 // any #[test] fn, so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use er_rl::nn::Linear;
 use er_rl::{Mat, Mlp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_mat(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
     prop::collection::vec(-2.0f32..2.0, rows * cols)
         .prop_map(move |data| Mat::from_vec(rows, cols, data))
 }
 
+/// A `rows × cols` matrix in which each row is either one-hot-like (1–6
+/// entries of 1.0 over exact `+0.0`) or a mix of `+0.0`, `-0.0` and values
+/// in `[-2, 2)`.
+fn sparse_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let mut row = vec![0.0f32; cols];
+        if rng.gen_range(0..2u8) == 0 {
+            for _ in 0..rng.gen_range(1..7usize) {
+                row[rng.gen_range(0..cols)] = 1.0;
+            }
+        } else {
+            for v in &mut row {
+                *v = match rng.gen_range(0..4u8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                };
+            }
+        }
+        data.extend(row);
+    }
+    Mat::from_vec(rows, cols, data)
+}
+
+fn bits(m: &Mat) -> Vec<u32> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Batch sizes around the DQN's 32, and odd widths up to Covid's 210/211.
+fn shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (
+        prop::sample::select(vec![1usize, 2, 31, 32, 33]),
+        prop::sample::select(vec![1usize, 3, 7, 33, 210]),
+        prop::sample::select(vec![1usize, 3, 7, 33, 211]),
+        any::<u64>(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The forward kernel (`x · Wᵀ` as `matmul` against the transposed
+    /// weight, skipping zero inputs, four terms per pass) equals the naive
+    /// single-accumulator, `k`-ascending dot product bit for bit.
+    #[test]
+    fn forward_kernel_is_bit_exact(shape in shapes()) {
+        let (batch, width, out, seed) = shape;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = sparse_mat(batch, width, &mut rng);
+        let w = sparse_mat(out, width, &mut rng);
+        prop_assert_eq!(bits(&x.matmul(&w.transpose())), bits(&x.matmul_t(&w)));
+    }
+
+    /// A layer's forward pass is the reference product plus the bias, bit
+    /// for bit.
+    #[test]
+    fn linear_forward_is_bit_exact(shape in shapes()) {
+        let (batch, width, out, seed) = shape;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut layer = Linear::new(width, out, &mut rng);
+        for b in &mut layer.b {
+            *b = rng.gen_range(-1.0f32..1.0);
+        }
+        let x = sparse_mat(batch, width, &mut rng);
+        let mut want = x.matmul_t(layer.w());
+        want.add_row_bias(&layer.b);
+        prop_assert_eq!(bits(&layer.forward(&x)), bits(&want));
+    }
+
+    /// The weight-gradient kernel `gᵀ · x` sums over the batch in row order
+    /// exactly as the reference dot product over transposed operands.
+    #[test]
+    fn weight_gradient_kernel_is_bit_exact(shape in shapes()) {
+        let (batch, width, out, seed) = shape;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = sparse_mat(batch, out, &mut rng);
+        let x = sparse_mat(batch, width, &mut rng);
+        let want = g.transpose().matmul_t(&x.transpose());
+        prop_assert_eq!(bits(&g.t_matmul(&x)), bits(&want));
+    }
 
     /// (A·B)·C == A·(B·C) up to float tolerance.
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The local mirror of CI: formatting, the clippy lint wall, the full test
 # suite (sequential, with miner invariant audits, and with ER_THREADS=4
-# worker pools), er-lint over the committed example rule set, the quick
+# worker pools), the RL kernels and their golden bits at the release
+# profile, er-lint over the committed example rule set, the quick
 # repair/ingest benchmarks (identity + trajectory checks), and two
 # er-serve pipe-mode smokes (repair/append batches, then registry-backed
 # repair_csv bulk streaming), plus the sharded serving smokes: the same
@@ -38,6 +39,12 @@ cargo test --workspace --features debug-invariants -q
 
 echo "==> ER_THREADS=4 cargo test --workspace -q"
 ER_THREADS=4 cargo test --workspace -q
+
+echo "==> cargo test --release -p er-rl -q (value-network kernels at opt-level 3, thin LTO)"
+cargo test --release -p er-rl -q
+
+echo "==> cargo test --release --test rl_golden -q (golden bits hold at the release profile)"
+cargo test --release --test rl_golden -q
 
 echo "==> ER_THREADS=4 cargo test -p er-incr -q (append/rebuild equivalence)"
 ER_THREADS=4 cargo test -p er-incr -q
