@@ -11,11 +11,13 @@
 //!
 //! Class scores are averaged weighted by class frequency in the universe
 //! (the paper's `|ŷ_l|` weights), matching scikit-learn's `average="weighted"`
-//! convention the original implementation used.
+//! convention the original implementation used. The weighted sums run over
+//! the classes in code order, so the result is bit-reproducible: the same
+//! cells give the same bits whatever the row order and in every process.
 
 use er_table::Code;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Weighted precision / recall / F-measure plus raw counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,7 +76,8 @@ pub fn evaluate_repairs(
         fn_: usize,
         weight: usize,
     }
-    let mut classes: HashMap<Code, ClassCounts> = HashMap::new();
+    // Ordered by code: a fixed summation order below.
+    let mut classes: BTreeMap<Code, ClassCounts> = BTreeMap::new();
     let mut evaluated = 0usize;
     let mut predicted = 0usize;
     let mut correct = 0usize;
@@ -127,9 +130,9 @@ pub fn evaluate_repairs(
     }
     WeightedPrf {
         // Each metric is a convex combination of per-class values in [0, 1],
-        // so mathematically it lies in [0, 1] — but the summation order over
-        // the class map is not fixed, and an unlucky order can round a sum
-        // of weights 1 to just above 1.0. Clamp away that float dust.
+        // so mathematically it lies in [0, 1] — but inexact class weights
+        // can round a sum of weights 1 to just above 1.0. Clamp away that
+        // float dust.
         precision: precision.clamp(0.0, 1.0),
         recall: recall.clamp(0.0, 1.0),
         f1: f1.clamp(0.0, 1.0),
@@ -166,6 +169,42 @@ mod tests {
         assert!((m.precision - 1.0).abs() < 1e-9);
         assert!((m.recall - 1.0).abs() < 1e-9);
         assert!((m.f1 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scores_are_bit_equal_across_calls_and_row_orders() {
+        // Many classes of uneven, inexact weights: under a hash-ordered
+        // class sum the low bits of f1 varied from call to call.
+        let rows = 600usize;
+        let truth: Vec<Code> = (0..rows).map(|i| ((i * 7919) % 41) as Code).collect();
+        let dirty: Vec<bool> = (0..rows).map(|i| i % 5 != 0).collect();
+        let preds: Vec<Option<Code>> = (0..rows)
+            .map(|i| match i % 4 {
+                0 => None,
+                1 => Some(((i * 31) % 43) as Code),
+                _ => Some(truth[i]),
+            })
+            .collect();
+        let first = evaluate_repairs(&truth, &dirty, &preds);
+        for _ in 0..20 {
+            let again = evaluate_repairs(&truth, &dirty, &preds);
+            assert_eq!(again.f1.to_bits(), first.f1.to_bits());
+            assert_eq!(again.precision.to_bits(), first.precision.to_bits());
+            assert_eq!(again.recall.to_bits(), first.recall.to_bits());
+        }
+        // Reversed and strided row orders hold the same cells.
+        let reversed: Vec<usize> = (0..rows).rev().collect();
+        let strided: Vec<usize> = (0..7).flat_map(|k| (k..rows).step_by(7)).collect();
+        for order in [reversed, strided] {
+            let permuted = evaluate_repairs(
+                &order.iter().map(|&i| truth[i]).collect::<Vec<_>>(),
+                &order.iter().map(|&i| dirty[i]).collect::<Vec<_>>(),
+                &order.iter().map(|&i| preds[i]).collect::<Vec<_>>(),
+            );
+            assert_eq!(permuted.f1.to_bits(), first.f1.to_bits());
+            assert_eq!(permuted.precision.to_bits(), first.precision.to_bits());
+            assert_eq!(permuted.recall.to_bits(), first.recall.to_bits());
+        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! until it is told to shut down.
 //!
 //! The transport is deliberately std-only: newline-delimited JSON, one
-//! request per line, one response line per request, in order. The same
-//! [`Server`] core serves two front-ends:
+//! request per line, one response line per request, in order. One session
+//! loop, [`serve_pipe`], frames lines and answers them for both
+//! front-ends:
 //!
-//! * **pipe mode** ([`serve_pipe`]) — stdin/stdout, for shell pipelines and
-//!   supervisors that speak over a pipe pair;
-//! * **socket mode** ([`TcpServer`]) — a `std::net::TcpListener` with a
-//!   bounded accept queue and a fixed worker pool, each connection speaking
-//!   the same line protocol.
+//! * **pipe mode** — stdin/stdout, for shell pipelines and supervisors that
+//!   speak over a pipe pair;
+//! * **socket mode** ([`TcpServer`]) — a `std::net::TcpListener` whose
+//!   acceptor admits at most `workers + queue_capacity` live connections,
+//!   each served by its own blocking thread running the same loop.
 //!
 //! Operational behaviour is explicit rather than implicit:
 //!
@@ -26,13 +27,13 @@
 //! * **deadlines** — an optional per-request deadline aborts a repair
 //!   between rule chunks ([`er_rules::BatchError::DeadlineExceeded`]).
 //! * **graceful drain** — the `shutdown` op (or [`Server::begin_drain`])
-//!   stops the accept loop and lets every request whose line has been fully
-//!   read finish and receive its response before connections close. The
+//!   stops the accept loop and lets every request already being handled
+//!   finish and receive its response before connections close. The
 //!   workspace forbids `unsafe`, so there is no signal handler; supervisors
 //!   should close stdin (pipe mode) or send `{"op":"shutdown"}`.
-//! * **metrics** — request/repair/error counters and p50/p99 latency over a
-//!   sliding window, served by the `stats` op and an optional periodic
-//!   stderr log line.
+//! * **metrics** — request/repair/error/panic counters, a live-connection
+//!   gauge and p50/p99 latency over a sliding window, served by the `stats`
+//!   op and an optional periodic stderr log line.
 //! * **analysis gate** — by default, `reload` and `append` are gated on a
 //!   clean static analysis of the resulting rule-set/master combination
 //!   (`er-analyze`: no ER008 dependency cycle, no ER009 conflicting
@@ -60,9 +61,9 @@ pub use server::{serve_pipe, ReloadError, Reloader, ServeConfig, Server};
 pub use tcp::TcpServer;
 
 /// Lock a std mutex, recovering the data from a poisoned lock: the guarded
-/// state here (latency ring, connection queue/registry) stays consistent
-/// under every partial update, so a panicking holder never leaves it
-/// corrupt.
+/// state here (latency ring, connection registry, rule store) stays
+/// consistent under every partial update, so a panicking holder never
+/// leaves it corrupt.
 pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()

@@ -2,8 +2,9 @@
 //!
 //! Counters are lock-free atomics; repair latencies go into a fixed-size
 //! ring (the last [`WINDOW`] requests) from which the `stats` op computes
-//! p50/p99. Everything is monotonic except the queue-depth gauge, which the
-//! server samples at snapshot time.
+//! p50/p99. Everything is monotonic except the gauges: queue depth, which
+//! the server samples at snapshot time, live connections, and the engine
+//! mirrors.
 
 use crate::lock;
 use serde_json::Value as Json;
@@ -40,6 +41,10 @@ pub struct Metrics {
     repairs: AtomicU64,
     repaired_cells: AtomicU64,
     errors: AtomicU64,
+    /// Unwinds caught at the request boundary (also counted in `errors`).
+    panics: AtomicU64,
+    /// Gauge: live TCP connection threads.
+    connections: AtomicU64,
     overloaded: AtomicU64,
     reloads: AtomicU64,
     appends: AtomicU64,
@@ -86,6 +91,8 @@ impl Metrics {
             repairs: AtomicU64::new(0),
             repaired_cells: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             appends: AtomicU64::new(0),
@@ -127,6 +134,22 @@ impl Metrics {
     /// Count one request answered with an error response.
     pub fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one unwind caught while handling a request.
+    pub(crate) fn record_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection thread started (paired with [`Self::connection_closed`]
+    /// by the TCP front-end's per-connection guard).
+    pub(crate) fn connection_opened(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection thread ended.
+    pub(crate) fn connection_closed(&self) {
+        self.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Count one request refused with the backpressure response.
@@ -213,6 +236,8 @@ impl Metrics {
             repairs: self.repairs.load(Ordering::Relaxed),
             repaired_cells: self.repaired_cells.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
+            connections: self.connections.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
             appends: self.appends.load(Ordering::Relaxed),
@@ -259,6 +284,11 @@ pub struct Snapshot {
     pub repaired_cells: u64,
     /// Requests answered with an error response.
     pub errors: u64,
+    /// Panics caught while handling a request (each also counts in
+    /// `errors`).
+    pub panics: u64,
+    /// Live TCP connections, each served by its own thread.
+    pub connections: u64,
     /// Requests refused with the backpressure response.
     pub overloaded: u64,
     /// Successful engine reloads.
@@ -334,6 +364,8 @@ impl Snapshot {
                 Json::UInt(self.repaired_cells),
             ),
             ("errors".to_string(), Json::UInt(self.errors)),
+            ("panics".to_string(), Json::UInt(self.panics)),
+            ("connections".to_string(), Json::UInt(self.connections)),
             ("overloaded".to_string(), Json::UInt(self.overloaded)),
             ("reloads".to_string(), Json::UInt(self.reloads)),
             ("appends".to_string(), Json::UInt(self.appends)),
@@ -385,11 +417,13 @@ impl Snapshot {
     /// One human-readable line for the periodic stderr log.
     pub fn log_line(&self) -> String {
         format!(
-            "serve: requests={} repairs={} fixed={} errors={} overloaded={} reloads={} appends={} rejected={} gen={} dedup={:.1} queue={} p50={}us p99={}us",
+            "serve: requests={} repairs={} fixed={} errors={} panics={} conns={} overloaded={} reloads={} appends={} rejected={} gen={} dedup={:.1} queue={} p50={}us p99={}us",
             self.requests,
             self.repairs,
             self.repaired_cells,
             self.errors,
+            self.panics,
+            self.connections,
             self.overloaded,
             self.reloads,
             self.appends,
@@ -415,12 +449,18 @@ mod tests {
         m.record_request();
         m.record_repair(Duration::from_micros(100), 3);
         m.record_error();
+        m.record_panic();
         m.record_overloaded();
+        m.connection_opened();
+        m.connection_opened();
+        m.connection_closed();
         let s = m.snapshot(1);
         assert_eq!(s.requests, 2);
         assert_eq!(s.repairs, 1);
         assert_eq!(s.repaired_cells, 3);
         assert_eq!(s.errors, 1);
+        assert_eq!(s.panics, 1);
+        assert_eq!(s.connections, 1, "a gauge: two opened, one closed");
         assert_eq!(s.overloaded, 1);
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.p50_us, 100);
@@ -554,6 +594,8 @@ mod tests {
         let s = Metrics::new().snapshot(0);
         let line = serde_json::to_string(&s.to_value()).unwrap();
         assert!(line.contains("\"requests\""));
+        assert!(line.contains("\"panics\":0"));
+        assert!(line.contains("\"connections\":0"));
         assert!(!s.log_line().is_empty());
     }
 }

@@ -3,9 +3,11 @@
 //! [`Server`] owns the engine, the configuration, the metrics, and the two
 //! pieces of cross-cutting serving state: the in-flight counter that
 //! implements backpressure and the draining flag that implements graceful
-//! shutdown. Front-ends (the pipe loop here, the TCP listener in
-//! [`crate::tcp`]) read lines, call [`Server::handle_line`], and write the
-//! response line back; everything protocol-level lives in one place.
+//! shutdown. Both front-ends run the one session loop here,
+//! [`serve_pipe`]: over stdin/stdout in pipe mode, over each accepted
+//! socket in [`crate::tcp`]. It reads lines, calls [`Server::handle_line`]
+//! and writes the response line back; everything protocol-level lives in
+//! one place.
 
 use crate::engine::{EngineError, RepairEngine, RepairOutcome};
 use crate::lock;
@@ -27,16 +29,19 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Optional per-request repair deadline. `None` = unbounded.
     pub deadline: Option<Duration>,
-    /// Maximum repair requests in flight (and, in socket mode, maximum
-    /// accepted connections waiting for a worker). Excess requests receive
-    /// the `overloaded` backpressure response immediately.
+    /// Maximum repair requests in flight. In socket mode it also counts
+    /// toward the cap on live connections, `workers + queue_capacity`.
+    /// Excess requests and connections receive the `overloaded`
+    /// backpressure response immediately.
     pub queue_capacity: usize,
     /// Maximum request line length in bytes; longer lines are consumed and
     /// answered with an error without being buffered.
     pub max_line_bytes: usize,
     /// Maximum rows one `repair` request may carry.
     pub max_batch_rows: usize,
-    /// Connection-handling worker threads in socket mode.
+    /// Socket mode only: counts toward the cap on live connections,
+    /// `workers + queue_capacity`. Each admitted connection is served by
+    /// its own thread.
     pub workers: usize,
     /// Emit the metrics log line to stderr every N requests (0 = never).
     pub log_every: u64,
@@ -180,14 +185,15 @@ impl Server {
     ///
     /// This is the request boundary: a panic while handling the line (a
     /// bug, or a panicking reloader) is caught here, counted in `errors`
-    /// and answered with [`proto::internal_error`], so neither the pipe
-    /// session nor the TCP worker thread dies with it. Locks are released
-    /// by unwinding, and in-flight slots by their guards.
+    /// and `panics`, and answered with [`proto::internal_error`], so neither
+    /// the pipe session nor the TCP connection thread dies with it. Locks
+    /// are released by unwinding, and in-flight slots by their guards.
     pub fn handle_line(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
         let handled =
             std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch_line(line, batch)));
         handled.unwrap_or_else(|payload| {
             self.metrics.record_error();
+            self.metrics.record_panic();
             let message = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
@@ -555,8 +561,10 @@ pub(crate) fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Re
 }
 
 /// Pipe mode: serve the line protocol over any reader/writer pair (stdin
-/// and stdout in the CLI). Returns when the reader hits EOF or a `shutdown`
-/// op is processed; either way every fully-read request has been answered.
+/// and stdout in the CLI, a socket in [`crate::TcpServer`]). Returns at
+/// EOF, after a `shutdown` op, or at the first line read once a drain has
+/// begun; every request it started has been answered by then. Each response
+/// line goes out in one `write_all`, then the writer is flushed.
 pub fn serve_pipe<R: BufRead, W: Write>(
     server: &Server,
     reader: &mut R,
@@ -565,32 +573,25 @@ pub fn serve_pipe<R: BufRead, W: Write>(
     // One reusable row buffer for the whole session: request row vectors
     // are decoded into it in place instead of being reallocated per line.
     let mut batch = RowBatch::new();
+    let max_line = server.config().max_line_bytes;
     loop {
-        match read_bounded_line(reader, server.config().max_line_bytes)? {
+        let (mut response, stop) = match read_bounded_line(reader, max_line)? {
             LineRead::Eof => break,
+            // A drain starts no new request: nothing was promised for it.
+            _ if server.is_draining() => break,
             LineRead::TooLong => {
                 server.metrics().record_error();
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::error(&format!(
-                        "line exceeds {} bytes",
-                        server.config().max_line_bytes
-                    ))
-                )?;
-                writer.flush()?;
+                let message = format!("line exceeds {max_line} bytes");
+                (proto::error(&message), false)
             }
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let (response, stop) = server.handle_line(&line, &mut batch);
-                writeln!(writer, "{response}")?;
-                writer.flush()?;
-                if stop {
-                    break;
-                }
-            }
+            LineRead::Line(line) if line.trim().is_empty() => continue,
+            LineRead::Line(line) => server.handle_line(&line, &mut batch),
+        };
+        response.push('\n');
+        writer.write_all(response.as_bytes())?;
+        writer.flush()?;
+        if stop {
+            break;
         }
     }
     Ok(())

@@ -1,16 +1,11 @@
-//! Socket mode: a readiness-based event loop over non-blocking `std::net`
-//! sockets.
+//! Socket mode: one blocking thread per admitted connection.
 //!
-//! One reactor thread owns the listener and every connection: it accepts,
-//! reads and frames request lines, and writes responses, all non-blocking
-//! (the workspace forbids `unsafe`, so instead of `poll(2)` the reactor
-//! scans its sockets and sleeps [`POLL`] between empty scans — the same
-//! discipline the previous accept loop used, now for all I/O). Requests are
-//! dispatched to a pool of `config.workers` worker threads over a channel;
-//! responses flow back to the reactor, which owns all socket writes. Each
-//! connection has **at most one request in flight**, so per-connection
-//! responses stay in request order while different connections repair in
-//! parallel.
+//! An acceptor thread owns the listener and makes blocking `accept` calls.
+//! Each admitted connection gets its own thread, which runs the pipe-mode
+//! session loop ([`serve_pipe`]) over the socket: the same line framing,
+//! the same [`Server::handle_line`], and one `write_all` per response line.
+//! A connection has at most one request in flight, so its responses stay in
+//! request order while different connections repair in parallel.
 //!
 //! Backpressure is applied at two doors: a connection arriving while
 //! `workers + queue_capacity` connections are live is answered with the
@@ -21,390 +16,177 @@
 //! The drain protocol (no signal handler — drains start from a `shutdown`
 //! op or [`TcpServer::shutdown`]):
 //!
-//! 1. the draining flag flips; the reactor stops accepting,
-//! 2. idle connections (nothing dispatched, nothing buffered to write) are
-//!    closed immediately — including connections whose buffered bytes were
-//!    never dispatched to a worker (nothing was promised for them),
-//! 3. requests already dispatched get their responses written, then their
-//!    connections close; once none remain the job channel closes and every
-//!    worker exits.
+//! 1. the draining flag flips,
+//! 2. every blocked thread is woken: each live connection's read half is
+//!    shut down, and one connection to the listener's own address
+//!    unblocks `accept`,
+//! 3. the acceptor stops accepting; each connection thread answers the
+//!    request it is handling, if any, starts no new one and closes. Idle
+//!    connections close at once.
 
-use crate::proto::RowBatch;
-use crate::server::Server;
-use crate::{lock, proto};
+use crate::lock;
+use crate::proto;
+use crate::server::{serve_pipe, Server};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
+use std::io::{self, BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Reactor sleep between scans that made no progress: short enough that
-/// accept/read latency stays well under a millisecond of added tail, long
-/// enough that an idle server costs ~no CPU.
-const POLL: Duration = Duration::from_micros(500);
-
-/// Read chunk size per connection per scan.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// A framed request line headed to the worker pool.
-struct Job {
-    token: u64,
-    line: String,
+/// State shared by the acceptor and every connection thread.
+struct Shared {
+    server: Arc<Server>,
+    /// The bound address, which a drain connects to in order to wake the
+    /// acceptor's blocking `accept`.
+    addr: SocketAddr,
+    /// A clone of every live connection's stream, by token: a drain shuts
+    /// down their read halves to wake the threads blocked in `read`.
+    live: Mutex<BTreeMap<u64, TcpStream>>,
+    /// The wake-up has been sent (a drain needs it once).
+    woken: AtomicBool,
 }
 
-/// A finished response headed back to the reactor.
-struct Done {
-    token: u64,
-    response: String,
-    stop: bool,
-}
-
-/// Per-connection reactor state.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet framed into a line.
-    rbuf: Vec<u8>,
-    /// Response bytes not yet written, starting at `wpos`.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// A request line was dispatched and its response is still pending.
-    busy: bool,
-    /// Close once `wbuf` fully flushes (set by a `stop` response).
-    stop_after_flush: bool,
-    /// The peer half-closed its write side; serve what was buffered, then
-    /// close once nothing remains to answer.
-    peer_eof: bool,
-    /// Inside an oversized line: discard bytes until its newline, then
-    /// answer with the line-too-long error.
-    too_long: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            busy: false,
-            stop_after_flush: false,
-            peer_eof: false,
-            too_long: false,
+impl Shared {
+    /// Begin a graceful drain and wake every thread blocked in `accept` or
+    /// `read`.
+    fn drain(&self) {
+        self.server.begin_drain();
+        if self.woken.swap(true, Ordering::SeqCst) {
+            return;
         }
+        for stream in lock(&self.live).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
     }
+}
 
-    fn queue_response(&mut self, response: &str) {
-        self.wbuf.extend_from_slice(response.as_bytes());
-        self.wbuf.push(b'\n');
-    }
+/// A live connection: its registry entry and its tick of the `connections`
+/// gauge, both given back when its thread ends (also by unwinding).
+struct Live {
+    shared: Arc<Shared>,
+    token: u64,
+}
 
-    fn has_pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
+impl Drop for Live {
+    fn drop(&mut self) {
+        lock(&self.shared.live).remove(&self.token);
+        self.shared.server.metrics().connection_closed();
     }
 }
 
 /// A running TCP front-end.
 pub struct TcpServer {
-    addr: SocketAddr,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    server: Arc<Server>,
+    shared: Arc<Shared>,
+    acceptor: JoinHandle<()>,
 }
 
 impl TcpServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the reactor thread plus
-    /// `config.workers` request workers.
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the acceptor thread.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let workers = (0..server.config().workers.max(1))
-            .map(|_| {
-                let server = Arc::clone(&server);
-                let jobs = Arc::clone(&job_rx);
-                let done = done_tx.clone();
-                std::thread::spawn(move || worker_loop(&server, &jobs, &done))
-            })
-            .collect();
-        // The reactor owns the only remaining `done_tx` clone holder set
-        // (the workers); dropping `done_tx` here keeps the channel's sender
-        // count equal to the worker count.
-        drop(done_tx);
-        let reactor = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || reactor_loop(&listener, &server, job_tx, &done_rx))
-        };
-        Ok(TcpServer {
-            addr,
-            reactor: Some(reactor),
-            workers,
+        let shared = Arc::new(Shared {
             server,
-        })
+            addr: listener.local_addr()?,
+            live: Mutex::new(BTreeMap::new()),
+            woken: AtomicBool::new(false),
+        });
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&shared, &listener))
+        };
+        Ok(TcpServer { shared, acceptor })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Begin a graceful drain from outside the protocol.
     pub fn shutdown(&self) {
-        self.server.begin_drain();
+        self.shared.drain();
     }
 
     /// Wait for the drain to complete and every thread to exit.
-    pub fn join(mut self) {
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        let _ = self.acceptor.join();
     }
 }
 
-/// Prepare an accepted socket for the reactor: `TCP_NODELAY` on the server
-/// side (small response lines must not wait for delayed ACKs) and
-/// non-blocking mode for the scan loop.
-fn prepare_accepted(stream: &TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)
-}
-
 /// Answer an over-capacity connection with the backpressure response. The
-/// socket is fresh (empty send buffer), so a single non-blocking write of
-/// one short line succeeds in practice; a peer that manages to fill the
-/// window anyway just sees the close.
+/// socket is fresh (empty send buffer), so one short write succeeds in
+/// practice; the timeout keeps a peer that never reads from stalling the
+/// acceptor.
 fn refuse(mut stream: TcpStream, server: &Server) {
     server.metrics().record_overloaded();
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = writeln!(stream, "{}", proto::overloaded());
 }
 
-fn worker_loop(server: &Server, jobs: &Mutex<mpsc::Receiver<Job>>, done: &mpsc::Sender<Done>) {
-    // One reusable row buffer per worker (a worker decodes one request at a
-    // time, so the buffer lives as long as the thread).
-    let mut batch = RowBatch::new();
+/// Accept until a drain begins, then wait for every connection thread.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    let server = &shared.server;
+    let admit_cap = server.config().workers.max(1) + server.config().queue_capacity;
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_token = 0u64;
     loop {
-        // Hold the receiver lock across the blocking recv: idle co-workers
-        // queue on the mutex instead of the channel, which is equivalent,
-        // and the channel closing (reactor exit) wakes everyone in turn.
-        let job = {
-            let rx = lock(jobs);
-            rx.recv()
-        };
-        let Ok(job) = job else { break };
-        let (response, stop) = server.handle_line(&job.line, &mut batch);
-        if done
-            .send(Done {
-                token: job.token,
-                response,
-                stop,
-            })
-            .is_err()
-        {
+        let accepted = listener.accept();
+        // Checked under the registry lock: a drain either finds this
+        // connection in the registry or is seen here.
+        let mut registry = lock(&shared.live);
+        if server.is_draining() {
             break;
         }
+        let Ok((stream, _)) = accepted else { continue };
+        if registry.len() >= admit_cap {
+            drop(registry);
+            refuse(stream, server);
+            continue;
+        }
+        // Small response lines must not wait for delayed ACKs.
+        let Ok(clone) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+            continue;
+        };
+        let token = next_token;
+        next_token += 1;
+        registry.insert(token, clone);
+        drop(registry);
+        server.metrics().connection_opened();
+        let live = Live {
+            shared: Arc::clone(shared),
+            token,
+        };
+        sessions.retain(|handle| !handle.is_finished());
+        // A failed spawn drops the guard and the stream: the peer sees a
+        // close.
+        if let Ok(handle) = std::thread::Builder::new().spawn(move || session(&live, &stream)) {
+            sessions.push(handle);
+        }
+    }
+    for handle in sessions {
+        let _ = handle.join();
     }
 }
 
-fn reactor_loop(
-    listener: &TcpListener,
-    server: &Server,
-    job_tx: mpsc::Sender<Job>,
-    done_rx: &mpsc::Receiver<Done>,
-) {
-    let max_line = server.config().max_line_bytes;
-    let admit_cap = server.config().workers.max(1) + server.config().queue_capacity;
-    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
-    let mut next_token = 0u64;
-    loop {
-        let mut progress = false;
-        let draining = server.is_draining();
-
-        // Accept new connections (until the drain begins).
-        if !draining {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        progress = true;
-                        if conns.len() >= admit_cap {
-                            refuse(stream, server);
-                            continue;
-                        }
-                        if prepare_accepted(&stream).is_err() {
-                            continue;
-                        }
-                        conns.insert(next_token, Conn::new(stream));
-                        next_token += 1;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => break,
-                    Err(_) => break,
-                }
-            }
-        }
-
-        // Collect finished responses.
-        while let Ok(done) = done_rx.try_recv() {
-            progress = true;
-            if let Some(conn) = conns.get_mut(&done.token) {
-                conn.queue_response(&done.response);
-                conn.busy = false;
-                conn.stop_after_flush |= done.stop;
-            }
-        }
-
-        // Per-connection read / frame / dispatch / flush.
-        let tokens: Vec<u64> = conns.keys().copied().collect();
-        for token in tokens {
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            let mut dead = false;
-
-            // Read only when idle with nothing queued to write: an in-flight
-            // request or a partially written response already bounds this
-            // connection's buffers, and TCP backpressures the peer.
-            if !conn.busy && !conn.has_pending_write() && !conn.peer_eof && !draining {
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.peer_eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progress = true;
-                            conn.rbuf.extend_from_slice(&chunk[..n]);
-                            // One framed line is enough until its response
-                            // comes back; stop pulling more bytes.
-                            if conn.rbuf.contains(&b'\n') {
-                                break;
-                            }
-                            if conn.rbuf.len() > max_line {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Frame and dispatch at most one request (one in flight per
-            // connection keeps response order).
-            while !dead && !conn.busy && !draining {
-                if conn.too_long {
-                    // Inside an oversized line: drop bytes until its end.
-                    match conn.rbuf.iter().position(|&b| b == b'\n') {
-                        Some(pos) => {
-                            conn.rbuf.drain(..=pos);
-                            conn.too_long = false;
-                            server.metrics().record_error();
-                            let message = format!("line exceeds {max_line} bytes");
-                            conn.queue_response(&proto::error(&message));
-                            progress = true;
-                        }
-                        None => {
-                            if !conn.rbuf.is_empty() {
-                                conn.rbuf.clear();
-                            }
-                            if conn.peer_eof {
-                                // Unterminated oversized tail: still an error.
-                                conn.too_long = false;
-                                server.metrics().record_error();
-                                let message = format!("line exceeds {max_line} bytes");
-                                conn.queue_response(&proto::error(&message));
-                                progress = true;
-                            }
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                let line = match conn.rbuf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                        String::from_utf8_lossy(&line[..pos]).into_owned()
-                    }
-                    None if conn.rbuf.len() > max_line => {
-                        conn.too_long = true;
-                        conn.rbuf.clear();
-                        continue;
-                    }
-                    None if conn.peer_eof && !conn.rbuf.is_empty() => {
-                        // EOF: a trailing unterminated line still counts.
-                        let line = String::from_utf8_lossy(&conn.rbuf).into_owned();
-                        conn.rbuf.clear();
-                        line
-                    }
-                    None => break,
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if job_tx.send(Job { token, line }).is_ok() {
-                    conn.busy = true;
-                    progress = true;
-                }
-                break;
-            }
-
-            // Flush pending response bytes.
-            while !dead && conn.has_pending_write() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        dead = true;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        conn.wpos += n;
-                        if conn.wpos == conn.wbuf.len() {
-                            conn.wbuf.clear();
-                            conn.wpos = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                    }
-                }
-            }
-
-            // Close: on socket error; after a `stop` response flushed; when
-            // the peer is gone and nothing remains to answer; or when a
-            // drain finds the connection idle (nothing promised).
-            let flushed = !conn.has_pending_write();
-            let idle = !conn.busy && flushed;
-            if dead
-                || (conn.stop_after_flush && idle)
-                || (conn.peer_eof && idle && conn.rbuf.is_empty())
-                || (draining && idle)
-            {
-                conns.remove(&token);
-                progress = true;
-            }
-        }
-
-        if draining && conns.is_empty() {
-            // Dropping `job_tx` (on return) closes the channel; workers
-            // drain and exit.
-            return;
-        }
-        if !progress {
-            std::thread::sleep(POLL);
-        }
+/// One connection's thread: the pipe-mode session loop over the socket.
+fn session(live: &Live, stream: &TcpStream) {
+    let shared = &live.shared;
+    let server = &*shared.server;
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    let _ = serve_pipe(server, &mut reader, &mut writer);
+    // A `shutdown` op ends its own session: wake every other thread.
+    if server.is_draining() {
+        shared.drain();
     }
 }

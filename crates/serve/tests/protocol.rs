@@ -404,6 +404,7 @@ fn panicking_reload_answers_an_internal_error_and_the_session_continues() {
     assert!(ok(&responses[1]));
     let stats = responses[2].get("stats").unwrap();
     assert_eq!(num(stats, "errors"), 1);
+    assert_eq!(num(stats, "panics"), 1);
     assert_eq!(num(stats, "reloads"), 0);
 }
 

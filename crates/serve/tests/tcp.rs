@@ -1,17 +1,18 @@
 //! Socket-mode tests: concurrent clients receive exactly the answers the
-//! single-threaded repair path computes, backpressure refuses excess
-//! connections, and the drain answers every request it has read.
+//! single-threaded repair path computes, a socket frames bytes exactly as
+//! the pipe does, backpressure refuses excess connections, and the drain
+//! answers every request it has started.
 
 // Test code: a panic is the failure report; fixture helpers sit outside
 // any #[test] fn, so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use er_rules::{apply_rules, EditingRule, SchemaMatch, Task};
-use er_serve::{RepairEngine, ServeConfig, Server, TcpServer};
+use er_serve::{serve_pipe, RepairEngine, ServeConfig, Server, TcpServer};
 use er_table::{Attribute, Pool, RelationBuilder, Schema, Value};
 use serde_json::Value as Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 /// Cities 0..6 map to one area code each in the master, except city "C5"
@@ -418,9 +419,9 @@ fn full_accept_queue_is_refused_with_backpressure() {
 }
 
 /// A panic inside request handling is caught at the request boundary: the
-/// client gets an internal-error line, the error is counted, and the one
-/// worker thread survives to answer the next request on the same
-/// connection.
+/// client gets an internal-error line, the error and the panic are
+/// counted, and the connection's thread survives to answer the next request
+/// on the same connection.
 #[test]
 fn panicking_reload_answers_an_error_and_the_connection_keeps_serving() {
     let (task, batch) = fixture();
@@ -434,7 +435,8 @@ fn panicking_reload_answers_an_error_and_the_connection_keeps_serving() {
     );
     let tcp = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
     let stream = TcpStream::connect(tcp.local_addr()).unwrap();
-    // A dead worker would leave the reply pending forever: fail instead.
+    // A dead connection thread would leave the reply pending forever: fail
+    // instead.
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .unwrap();
@@ -469,8 +471,97 @@ fn panicking_reload_answers_an_error_and_the_connection_keeps_serving() {
         other => panic!("{key}: {other:?}"),
     };
     assert_eq!(num("errors"), 1);
+    assert_eq!(num("panics"), 1);
+    assert_eq!(num("connections"), 1, "this connection's thread is live");
     assert_eq!(num("queue_depth"), 0);
 
     ask("{\"op\":\"shutdown\"}");
     tcp.join();
+}
+
+/// The socket frames a byte stream exactly as the pipe does: pipelined
+/// requests, a blank line, an oversized line, invalid UTF-8, malformed
+/// JSON and an unterminated final request, sent in one write and followed
+/// by a half-close, get the same answer bytes as `serve_pipe` over the same
+/// bytes, and the socket closes after the last answer.
+#[test]
+fn socket_answers_equal_pipe_answers_on_the_same_bytes() {
+    let config = || ServeConfig {
+        max_line_bytes: 256,
+        ..ServeConfig::default()
+    };
+    let (_server, tcp, batch, _) = start(config());
+    let repair = batch_request(&batch);
+    assert!(repair.len() <= 256, "the repair line must fit the limit");
+    let mut script = Vec::new();
+    for line in [
+        "{\"op\":\"ping\"}",
+        &repair,
+        "{\"op\":\"ping\"}",
+        &repair,
+        "",
+        &"x".repeat(300),
+        "{\"op\":\"ping\"}",
+    ] {
+        script.extend_from_slice(line.as_bytes());
+        script.push(b'\n');
+    }
+    script.extend_from_slice(b"{\"op\":\"M\xFCnchen\"}\n");
+    script.extend_from_slice(b"{\"op\":\"repair\",\"rows\":[\n");
+    script.extend_from_slice(repair.as_bytes());
+
+    let (task, _) = fixture();
+    let pipe_server = Server::new(RepairEngine::new(&task, rules(), 0).unwrap(), config());
+    let mut piped = Vec::new();
+    serve_pipe(&pipe_server, &mut script.as_slice(), &mut piped).unwrap();
+    assert_eq!(
+        piped.iter().filter(|&&b| b == b'\n').count(),
+        9,
+        "every non-blank line is answered: {}",
+        String::from_utf8_lossy(&piped)
+    );
+
+    let mut stream = TcpStream::connect(tcp.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&script).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut socketed = Vec::new();
+    // read_to_end returns only once the server closes the connection.
+    stream.read_to_end(&mut socketed).unwrap();
+    // Answers are JSON, so UTF-8: compare bytes, print text.
+    assert_eq!(
+        String::from_utf8(socketed).unwrap(),
+        String::from_utf8(piped).unwrap()
+    );
+    tcp.shutdown();
+    tcp.join();
+}
+
+/// A drain completes even while a peer keeps streaming one endless line:
+/// once draining, the connection's reads end, so its thread closes instead
+/// of consuming the stream for ever.
+#[test]
+fn drain_completes_while_a_peer_keeps_sending() {
+    let (_server, tcp, _batch, _) = start(ServeConfig::default());
+    let mut stream = TcpStream::connect(tcp.local_addr()).unwrap();
+    let sender = std::thread::spawn(move || {
+        let chunk = [b'x'; 4096];
+        // Runs until the server closes the connection.
+        while stream.write_all(&chunk).is_ok() {}
+    });
+    tcp.shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        tcp.join();
+        done_tx.send(()).unwrap();
+    });
+    assert!(
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .is_ok(),
+        "join must return while the peer is still sending"
+    );
+    sender.join().unwrap();
 }

@@ -176,7 +176,7 @@ echo "$shard_smoke"
 [[ "$(echo "$shard_smoke" | sed -n 4p)" == *'"shard_imbalance"'* ]]
 [[ "$(echo "$shard_smoke" | sed -n 4p)" != *'"confluence'* ]]
 
-echo "==> er-serve sharded TCP smoke (--shards 4, ER_THREADS=4, event loop)"
+echo "==> er-serve sharded TCP smoke (--shards 4, ER_THREADS=4, thread per connection)"
 tcp_log=$(mktemp)
 ER_THREADS=4 cargo run -q --bin er-serve -- --rules examples/figure1_rules.json \
     --shards 4 --workers 4 --tcp 127.0.0.1:0 2>"$tcp_log" &

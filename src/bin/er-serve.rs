@@ -36,10 +36,13 @@ tuning:
                      count; stats reports shards, shard_routed,
                      shard_broadcast and shard_imbalance
   --deadline-ms N    per-request repair deadline (default: none)
-  --queue N          max in-flight repairs / waiting connections (default 64)
+  --queue N          max in-flight repairs (default 64); TCP: also counts
+                     toward the live-connection cap
   --max-rows N       max rows per repair request (default 4096)
   --max-line-bytes N max request line length (default 1048576)
-  --workers N        TCP connection workers (default 4)
+  --workers N        TCP: counts toward the live-connection cap,
+                     workers + queue (default 4); each connection is
+                     served by its own thread
   --log-every N      stderr metrics line every N requests (default 0 = off)
   --no-analysis-gate load, reload and append without the er-analyze gate
                      (default: rule sets with an ER008 dependency cycle or
