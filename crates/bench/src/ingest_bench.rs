@@ -6,8 +6,10 @@
 //! loader and once through [`er_ingest::ingest_relation`]'s chunked
 //! streaming path, asserts the two relations and their value pools are
 //! **byte-identical**, and only then times the chunked path, reporting
-//! rows/s, MiB/s, and the peak resident chunk-buffer bytes (the
-//! bounded-memory claim, measured rather than asserted).
+//! rows/s, MiB/s, the peak resident chunk-buffer bytes (the bounded-memory
+//! claim, measured rather than asserted), and the seconds per pass spent in
+//! each stage the stream times itself: framing, split and parse, and the
+//! intern commit.
 //!
 //! Besides `results/ingest_bench.json`, a full (non-`--quick`) run appends
 //! one entry to the repo-root `BENCH_ingest.json` trajectory file; both
@@ -48,6 +50,17 @@ pub struct IngestBench {
     pub mib_per_second: f64,
     /// Worker threads for intra-chunk parsing (`0` = auto).
     pub threads: usize,
+    /// `std::thread::available_parallelism` of the host that ran it.
+    pub host_parallelism: usize,
+    /// Seconds per pass spent framing records (read, boundary scan, UTF-8).
+    pub frame_seconds: f64,
+    /// Seconds per pass spent splitting records and looking cells up.
+    pub split_parse_seconds: f64,
+    /// Seconds per pass spent interning distinct cells and laying out
+    /// columns.
+    pub intern_commit_seconds: f64,
+    /// What was measured.
+    pub note: String,
     /// Whether this was a `--quick` smoke run (quick runs do not enter the
     /// trajectory).
     pub quick: bool,
@@ -160,8 +173,9 @@ pub fn ingest_bench(cfg: &ExperimentConfig) -> IngestBench {
     );
 
     let started = Instant::now();
+    let mut stages = [0.0f64; 3];
     for _ in 0..iters {
-        let (rel, _) = er_ingest::ingest_relation(
+        let (rel, stats) = er_ingest::ingest_relation(
             "bench",
             Cursor::new(text.as_bytes()),
             Arc::new(Pool::new()),
@@ -169,6 +183,10 @@ pub fn ingest_bench(cfg: &ExperimentConfig) -> IngestBench {
         )
         .unwrap_or_else(|e| panic!("ingest_bench: chunked load failed: {e}"));
         assert_eq!(rel.num_rows(), rows);
+        let times = [stats.frame_time, stats.split_parse_time, stats.commit_time];
+        for (stage, time) in stages.iter_mut().zip(times) {
+            *stage += time.as_secs_f64() / iters as f64;
+        }
     }
     let seconds = started.elapsed().as_secs_f64().max(1e-9);
 
@@ -182,6 +200,11 @@ pub fn ingest_bench(cfg: &ExperimentConfig) -> IngestBench {
         rows_per_second: (rows * iters) as f64 / seconds,
         mib_per_second: (bytes * iters) as f64 / (1024.0 * 1024.0) / seconds,
         threads: cfg.threads,
+        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        frame_seconds: stages[0],
+        split_parse_seconds: stages[1],
+        intern_commit_seconds: stages[2],
+        note: "ingest_relation, CSV straight to codes (RowStream::next_relation)".to_string(),
         quick: cfg.quick,
         unix_seconds: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -195,6 +218,13 @@ pub fn ingest_bench(cfg: &ExperimentConfig) -> IngestBench {
         result.iters,
         result.peak_buffer_bytes,
         result.chunk_bytes
+    );
+    println!(
+        "  per pass: frame {:.4} s, split+parse {:.4} s, intern commit {:.4} s (host parallelism {})",
+        result.frame_seconds,
+        result.split_parse_seconds,
+        result.intern_commit_seconds,
+        result.host_parallelism
     );
     cfg.write_json("ingest_bench", &result);
     if result.quick {

@@ -41,10 +41,39 @@ pub struct Chunk {
     /// 1-based record number of the first record in this chunk (the header
     /// of a CSV file is record 1).
     pub first_record: usize,
-    /// Record bodies, terminators stripped, validated UTF-8.
-    pub records: Vec<String>,
     /// Consumed input bytes, terminators included.
     pub bytes: usize,
+    /// The record bodies back to back, terminators stripped, validated
+    /// UTF-8: one buffer per chunk instead of one `String` per record.
+    text: String,
+    /// End offset in `text` of each record.
+    ends: Vec<usize>,
+}
+
+impl Chunk {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the chunk holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The body of record `i` (0-based within the chunk).
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn record(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// The record bodies in file order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.record(i))
+    }
 }
 
 /// Streams a byte source as chunks of whole records under a memory bound.
@@ -52,8 +81,11 @@ pub struct Chunk {
 pub struct ChunkReader<R> {
     src: R,
     config: ChunkConfig,
-    /// Unconsumed bytes; grows only until the next record boundary.
+    /// Read window: `buf[pos..]` is unconsumed and grows only until the
+    /// next record boundary. Consumed bytes are dropped once, before the
+    /// next refill, not after every record.
     buf: Vec<u8>,
+    pos: usize,
     scratch: Vec<u8>,
     scanner: RecordScanner,
     /// Scanner quote tracking applies (CSV). NDJSON boundaries ignore quotes.
@@ -68,6 +100,9 @@ pub struct ChunkReader<R> {
 }
 
 const SCRATCH_BYTES: usize = 64 * 1024;
+/// Initial capacity of a chunk's text buffer, at most: a chunk target of
+/// `usize::MAX` must not reserve it.
+const TEXT_CAPACITY: usize = 1 << 20;
 
 impl<R: Read> ChunkReader<R> {
     /// A reader for a quote-aware (CSV) source.
@@ -87,6 +122,7 @@ impl<R: Read> ChunkReader<R> {
             src,
             config,
             buf: Vec::new(),
+            pos: 0,
             scratch: vec![0u8; scratch],
             scanner: RecordScanner::new(),
             quoted,
@@ -111,27 +147,26 @@ impl<R: Read> ChunkReader<R> {
 
     /// Pull the next chunk of whole records, or `None` at end of input.
     pub fn next_chunk(&mut self) -> Result<Option<Chunk>, IngestError> {
-        let first_record = self.records_out + 1;
-        let mut records = Vec::new();
-        let mut bytes = 0usize;
+        let mut chunk = Chunk {
+            first_record: self.records_out + 1,
+            bytes: 0,
+            text: String::with_capacity(self.config.chunk_bytes.min(TEXT_CAPACITY)),
+            ends: Vec::new(),
+        };
         loop {
             match self.find_boundary() {
                 Some(span) => {
-                    let body = std::str::from_utf8(&self.buf[..span.end])
-                        .map_err(|_| IngestError::BadUtf8 {
-                            record: self.records_out + 1,
-                        })?
-                        .to_owned();
-                    self.buf.drain(..span.next);
-                    records.push(body);
+                    let body = &self.buf[self.pos..self.pos + span.end];
+                    let body = std::str::from_utf8(body).map_err(|_| IngestError::BadUtf8 {
+                        record: self.records_out + 1,
+                    })?;
+                    chunk.text.push_str(body);
+                    chunk.ends.push(chunk.text.len());
+                    self.pos += span.next;
                     self.records_out += 1;
-                    bytes += span.next;
-                    if bytes >= self.config.chunk_bytes {
-                        return Ok(Some(Chunk {
-                            first_record,
-                            records,
-                            bytes,
-                        }));
+                    chunk.bytes += span.next;
+                    if chunk.bytes >= self.config.chunk_bytes {
+                        return Ok(Some(chunk));
                     }
                 }
                 None if self.eof => {
@@ -140,23 +175,20 @@ impl<R: Read> ChunkReader<R> {
                             record: self.records_out + 1,
                         });
                     }
-                    return Ok(if records.is_empty() {
-                        None
-                    } else {
-                        Some(Chunk {
-                            first_record,
-                            records,
-                            bytes,
-                        })
-                    });
+                    return Ok((!chunk.is_empty()).then_some(chunk));
                 }
                 None => {
-                    if self.buf.len() >= self.config.max_record_bytes {
+                    if self.buf.len() - self.pos >= self.config.max_record_bytes {
                         return Err(IngestError::OversizedRecord {
                             record: self.records_out + 1,
                             limit: self.config.max_record_bytes,
                         });
                     }
+                    // Drop the consumed prefix: one move per refill. The
+                    // scanners resume relative to the record start, which
+                    // stays at `pos`.
+                    self.buf.drain(..self.pos);
+                    self.pos = 0;
                     let n = self.src.read(&mut self.scratch)?;
                     if n == 0 {
                         self.eof = true;
@@ -170,15 +202,16 @@ impl<R: Read> ChunkReader<R> {
     }
 
     fn find_boundary(&mut self) -> Option<er_table::csv::RecordSpan> {
+        let buf = &self.buf[self.pos..];
         if self.quoted {
-            return self.scanner.find(&self.buf, self.eof);
+            return self.scanner.find(buf, self.eof);
         }
         // Line mode: pure line-break scanning, no quote tracking. A raw `"`
         // count means nothing in NDJSON (`\"` inside a JSON string is an odd
         // raw quote), so the CSV scanner's state machine must not be used.
         let mut i = self.line_scanned;
-        while i < self.buf.len() {
-            match self.buf[i] {
+        while i < buf.len() {
+            match buf[i] {
                 b'\n' => {
                     self.line_scanned = 0;
                     return Some(er_table::csv::RecordSpan {
@@ -187,8 +220,8 @@ impl<R: Read> ChunkReader<R> {
                     });
                 }
                 b'\r' => {
-                    if i + 1 < self.buf.len() {
-                        let next = i + 1 + usize::from(self.buf[i + 1] == b'\n');
+                    if i + 1 < buf.len() {
+                        let next = i + 1 + usize::from(buf[i + 1] == b'\n');
                         self.line_scanned = 0;
                         return Some(er_table::csv::RecordSpan { end: i, next });
                     }
@@ -205,14 +238,14 @@ impl<R: Read> ChunkReader<R> {
                 _ => i += 1,
             }
         }
-        if self.eof && !self.buf.is_empty() {
+        if self.eof && !buf.is_empty() {
             self.line_scanned = 0;
             return Some(er_table::csv::RecordSpan {
-                end: self.buf.len(),
-                next: self.buf.len(),
+                end: buf.len(),
+                next: buf.len(),
             });
         }
-        self.line_scanned = self.buf.len();
+        self.line_scanned = buf.len();
         None
     }
 }
@@ -241,7 +274,7 @@ mod tests {
     fn drain(mut reader: ChunkReader<impl Read>) -> Vec<String> {
         let mut all = Vec::new();
         while let Some(chunk) = reader.next_chunk().unwrap() {
-            all.extend(chunk.records);
+            all.extend(chunk.records().map(str::to_owned));
         }
         all
     }

@@ -9,16 +9,21 @@
 //!   [`IngestError`]s for bad UTF-8, truncated input, and oversized records.
 //! * [`RowStream`] / [`ingest_relation`] / [`ingest_append`] — format-aware
 //!   (CSV or NDJSON) streaming with schema inference or an explicit-schema
-//!   override. Record parsing fans out across an er-par pool; every pool
-//!   interning and index update happens sequentially in record order, so a
-//!   chunked load is byte-identical to a whole-file build at any thread
-//!   count (enforced by `tests/equivalence.rs` at 1/2/8 threads).
+//!   override. [`RowStream::next_relation`] takes CSV straight to
+//!   dictionary codes: records split into slices of the chunk, and a
+//!   per-column cache parses and interns each distinct cell once per
+//!   chunk, in first-occurrence order. [`RowStream::next_batch`] yields
+//!   rows of values instead (NDJSON, appends), parsing records across an
+//!   er-par pool. Every pool interning and index update happens
+//!   sequentially in record order, so a chunked load is byte-identical to
+//!   a whole-file build at any chunk size and thread count (enforced by
+//!   `tests/equivalence.rs` at 1/2/8 threads and `tests/parity.rs`).
 //! * [`DatasetRegistry`] — named dataset configs (generator shape, error
 //!   model, scale knob, or an on-disk CSV pair) behind one [`Dataset`]
 //!   trait, so `experiments` and `er-serve` sweep scenarios by name.
 //!
-//! DESIGN.md §15 documents the pipeline and the chunk-commit determinism
-//! argument.
+//! DESIGN.md §15 documents the pipeline (frame, split, code cache,
+//! commit) and why the dictionary order holds.
 
 mod chunk;
 mod error;
@@ -29,5 +34,6 @@ pub use chunk::{Chunk, ChunkConfig, ChunkReader};
 pub use error::IngestError;
 pub use registry::{Dataset, DatasetRegistry, ScaleKnobs};
 pub use stream::{
-    ingest_append, ingest_relation, Format, IngestConfig, IngestStats, RowStream, SchemaMode,
+    ingest_append, ingest_relation, DataChunk, Format, IngestConfig, IngestStats, RowStream,
+    SchemaMode,
 };

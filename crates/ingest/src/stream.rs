@@ -1,22 +1,35 @@
-//! Format-aware streaming: chunked records → typed relation rows.
+//! Format-aware streaming: chunked records → dictionary codes or typed rows.
 //!
 //! [`RowStream`] resolves a schema from the first record (or validates an
-//! explicit one), then turns each [`ChunkReader`] chunk into a batch of
-//! [`Value`] rows. Record parsing inside a chunk fans out across an er-par
-//! [`WorkerPool`] — parsing touches no shared state, so any thread count
-//! yields the same rows in the same order — and all pool interning happens
-//! sequentially in the caller's commit, which is what makes chunked ingest
-//! byte-identical to a whole-file build (DESIGN.md §15).
+//! explicit one), then turns each [`ChunkReader`] chunk into one of two
+//! things:
+//!
+//! * [`RowStream::next_relation`] — a [`Relation`] over the caller's pool.
+//!   CSV records go straight to dictionary codes: fields are split as
+//!   slices of the chunk ([`split_fields`]) and a per-column map caches
+//!   each distinct cell's code, so a cell is parsed and interned once per
+//!   chunk ([`CellEncoder`]). The bulk paths (`ingest_relation`, er-serve's
+//!   `repair_csv`) use this one.
+//! * [`RowStream::next_batch`] — rows of [`Value`]s, for callers that need
+//!   values (NDJSON, `ingest_append`). Record parsing fans out across an
+//!   er-par [`WorkerPool`]; parsing touches no shared state, so any thread
+//!   count yields the same rows in the same order.
+//!
+//! Either way, interning happens sequentially in record order, in the
+//! order a row-by-row build would intern, which is what makes chunked
+//! ingest byte-identical to a whole-file build (DESIGN.md §15).
 
 use crate::chunk::{Chunk, ChunkConfig, ChunkReader};
 use crate::error::IngestError;
 use er_incr::IncrEngine;
 use er_par::WorkerPool;
-use er_table::csv::{check_header, parse_field, split_record};
+use er_table::csv::{check_header, parse_field, split_fields, split_record, CellEncoder};
 use er_table::{Attribute, Pool, Relation, RelationBuilder, Schema, Value};
 use serde_json::Value as Json;
+use std::borrow::Cow;
 use std::io::Read;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Input wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +61,11 @@ pub struct IngestConfig {
     pub schema: SchemaMode,
     /// Chunking and record-size bounds.
     pub chunk: ChunkConfig,
-    /// Worker threads for intra-chunk record parsing (0 = `ER_THREADS` or
-    /// sequential). Output is identical at any setting.
+    /// Worker threads for intra-chunk record parsing into values
+    /// ([`RowStream::next_batch`], and NDJSON everywhere); 0 = `ER_THREADS`
+    /// or sequential. Output is identical at any setting. CSV encoding
+    /// straight to codes runs on the calling thread: its one pass of split
+    /// and cache lookup costs less than the fan-out it would feed.
     pub threads: usize,
 }
 
@@ -77,6 +93,17 @@ pub struct IngestStats {
     pub peak_buffer_bytes: usize,
     /// Largest number of rows resident in a single chunk batch.
     pub peak_chunk_rows: usize,
+    /// Time spent framing: reading the source, finding record boundaries
+    /// and checking UTF-8 ([`ChunkReader::next_chunk`]).
+    pub frame_time: Duration,
+    /// Time spent splitting records into fields and parsing them: into
+    /// values, or into per-chunk code-cache lookups on the codes path.
+    pub split_parse_time: Duration,
+    /// Time spent committing to the pool: interning each chunk's distinct
+    /// cells and laying out its columns (codes path), or interning rows
+    /// of values (NDJSON on the codes path). Zero on the Value path, where
+    /// the caller interns.
+    pub commit_time: Duration,
 }
 
 /// A record-level parse failure, attributed to a record number by the
@@ -105,6 +132,15 @@ impl RecordError {
             },
         }
     }
+}
+
+/// A chunk of data records read by [`RowStream::next_chunk`], waiting to
+/// be encoded.
+#[derive(Debug)]
+pub struct DataChunk {
+    chunk: Chunk,
+    /// Leading header records (1 in a CSV file's first chunk).
+    skip: usize,
 }
 
 /// Streams a byte source as schema-typed row batches.
@@ -155,17 +191,46 @@ impl<R: Read> RowStream<R> {
     /// Pull the next batch of typed rows, or `None` at end of input.
     /// Batches arrive in file order; rows within a batch in record order.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Vec<Value>>>, IngestError> {
+        let Some(data) = self.next_chunk()? else {
+            return Ok(None);
+        };
+        let rows = self.parse_chunk(&data.chunk, data.skip)?;
+        self.count_chunk(rows.len());
+        Ok(Some(rows))
+    }
+
+    /// Pull the next chunk as a [`Relation`] encoded through `pool`, or
+    /// `None` at end of input: [`next_chunk`](Self::next_chunk) then
+    /// [`encode_chunk`](Self::encode_chunk). Chunks arrive in file order;
+    /// rows within a chunk in record order.
+    pub fn next_relation(&mut self, pool: &Arc<Pool>) -> Result<Option<Relation>, IngestError> {
+        match self.next_chunk()? {
+            Some(chunk) => self.encode_chunk(&chunk, pool).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Read the next chunk that holds data records, framed and checked as
+    /// UTF-8 but not yet parsed; `None` at end of input. Resolves the
+    /// schema from the first chunk and counts header-only chunks as they
+    /// pass. Splitting the read from [`encode_chunk`](Self::encode_chunk)
+    /// lets a caller wait on a slow source without holding what the
+    /// encoding needs (er-serve's engine lock and backpressure slot).
+    pub fn next_chunk(&mut self) -> Result<Option<DataChunk>, IngestError> {
         loop {
-            let Some(chunk) = self.reader.next_chunk()? else {
+            let started = Instant::now();
+            let chunk = self.reader.next_chunk();
+            self.stats.frame_time += started.elapsed();
+            let Some(chunk) = chunk? else {
                 if !self.header_seen {
                     // A zero-record CSV has no header to infer from; an
                     // explicit schema makes an empty file a valid empty load.
-                    match (&self.requested, self.format) {
-                        (SchemaMode::Explicit(schema), _) => {
+                    match &self.requested {
+                        SchemaMode::Explicit(schema) => {
                             self.schema = Some(Arc::clone(schema));
                             self.header_seen = true;
                         }
-                        (SchemaMode::Infer, _) => {
+                        SchemaMode::Infer => {
                             return Err(IngestError::Schema {
                                 message: "empty input: nothing to infer a schema from".to_string(),
                             });
@@ -182,16 +247,55 @@ impl<R: Read> RowStream<R> {
                 self.header_seen = true;
                 skip
             };
-            if chunk.records.len() <= skip {
+            if chunk.len() <= skip {
                 self.stats.chunks += 1;
                 continue; // header-only chunk: keep pulling
             }
-            let rows = self.parse_chunk(&chunk, skip)?;
-            self.stats.chunks += 1;
-            self.stats.rows += rows.len();
-            self.stats.peak_chunk_rows = self.stats.peak_chunk_rows.max(rows.len());
-            return Ok(Some(rows));
+            return Ok(Some(DataChunk { chunk, skip }));
         }
+    }
+
+    /// Encode a chunk from [`next_chunk`](Self::next_chunk) as a
+    /// [`Relation`] through `pool`. The codes and the pool's dictionary
+    /// order are those [`next_batch`](Self::next_batch) followed by
+    /// [`Relation::push_row_ref`] of every row would give, and so are the
+    /// errors; a chunk that fails interns nothing.
+    pub fn encode_chunk(
+        &mut self,
+        data: &DataChunk,
+        pool: &Arc<Pool>,
+    ) -> Result<Relation, IngestError> {
+        let schema = Arc::clone(self.resolved()?);
+        let rel = match self.format {
+            Format::Csv => encode_csv_chunk(&data.chunk, data.skip, schema, pool, &mut self.stats)?,
+            Format::Ndjson => {
+                let rows = self.parse_chunk(&data.chunk, data.skip)?;
+                let started = Instant::now();
+                let mut rel = Relation::empty(schema, Arc::clone(pool));
+                for (i, row) in rows.iter().enumerate() {
+                    rel.push_row_ref(row).map_err(|e| IngestError::Append {
+                        message: format!("row {}: {e}", self.stats.rows + i + 1),
+                    })?;
+                }
+                self.stats.commit_time += started.elapsed();
+                rel
+            }
+        };
+        self.count_chunk(rel.num_rows());
+        Ok(rel)
+    }
+
+    /// Count one committed chunk of `rows` data rows.
+    fn count_chunk(&mut self, rows: usize) {
+        self.stats.chunks += 1;
+        self.stats.rows += rows;
+        self.stats.peak_chunk_rows = self.stats.peak_chunk_rows.max(rows);
+    }
+
+    fn resolved(&self) -> Result<&Arc<Schema>, IngestError> {
+        self.schema.as_ref().ok_or_else(|| IngestError::Schema {
+            message: "internal: parse before schema resolution".to_string(),
+        })
     }
 
     /// Resolve the schema from the first chunk; returns how many leading
@@ -199,7 +303,7 @@ impl<R: Read> RowStream<R> {
     fn resolve_schema(&mut self, chunk: &Chunk) -> Result<usize, IngestError> {
         match self.format {
             Format::Csv => {
-                let header = split_record(&chunk.records[0], 1).map_err(|e| IngestError::Csv {
+                let header = split_record(chunk.record(0), 1).map_err(|e| IngestError::Csv {
                     record: chunk.first_record,
                     message: csv_message(e),
                 })?;
@@ -227,7 +331,7 @@ impl<R: Read> RowStream<R> {
                 match &self.requested {
                     SchemaMode::Explicit(schema) => self.schema = Some(Arc::clone(schema)),
                     SchemaMode::Infer => {
-                        let json: Json = serde_json::from_str(&chunk.records[0]).map_err(|e| {
+                        let json: Json = serde_json::from_str(chunk.record(0)).map_err(|e| {
                             IngestError::Json {
                                 record: chunk.first_record,
                                 message: e.to_string(),
@@ -258,23 +362,59 @@ impl<R: Read> RowStream<R> {
         }
     }
 
-    fn parse_chunk(&self, chunk: &Chunk, skip: usize) -> Result<Vec<Vec<Value>>, IngestError> {
-        let Some(schema) = self.schema.as_ref() else {
-            return Err(IngestError::Schema {
-                message: "internal: parse before schema resolution".to_string(),
-            });
-        };
+    fn parse_chunk(&mut self, chunk: &Chunk, skip: usize) -> Result<Vec<Vec<Value>>, IngestError> {
+        let started = Instant::now();
+        let schema = self.resolved()?;
         let format = self.format;
-        let records = &chunk.records[skip..];
+        let records: Vec<&str> = chunk.records().skip(skip).collect();
         let parsed: Vec<Result<Vec<Value>, RecordError>> = self
             .pool
-            .map(records, |body| parse_record(body, format, schema));
+            .map(&records, |body| parse_record(body, format, schema));
         let mut rows = Vec::with_capacity(parsed.len());
         for (i, row) in parsed.into_iter().enumerate() {
             rows.push(row.map_err(|e| e.at(chunk.first_record + skip + i))?);
         }
+        self.stats.split_parse_time += started.elapsed();
         Ok(rows)
     }
+}
+
+/// Encode the data records of a CSV chunk straight to codes: split each
+/// record into slices of the chunk, check its arity, and look each cell up
+/// in the chunk's per-column code cache. Nothing is interned until every
+/// record has split, so the first bad record fails the chunk as it fails
+/// [`RowStream::next_batch`], with the pool untouched.
+fn encode_csv_chunk(
+    chunk: &Chunk,
+    skip: usize,
+    schema: Arc<Schema>,
+    pool: &Arc<Pool>,
+    stats: &mut IngestStats,
+) -> Result<Relation, IngestError> {
+    let started = Instant::now();
+    let mut encoder = CellEncoder::new(&schema);
+    let mut fields = Vec::with_capacity(schema.arity());
+    for (i, body) in chunk.records().enumerate().skip(skip) {
+        let record = chunk.first_record + i;
+        split_fields(body, 1, &mut fields).map_err(|e| IngestError::Csv {
+            record,
+            message: csv_message(e),
+        })?;
+        if fields.len() != schema.arity() {
+            return Err(IngestError::ArityMismatch {
+                record,
+                expected: schema.arity(),
+                got: fields.len(),
+            });
+        }
+        encoder.push_row(fields.drain(..));
+    }
+    let committing = Instant::now();
+    stats.split_parse_time += committing - started;
+    let mut builder = RelationBuilder::new(schema, Arc::clone(pool));
+    encoder.commit(&mut builder);
+    stats.commit_time += committing.elapsed();
+    Ok(builder.finish())
 }
 
 /// Extract the message of a table-layer CSV error without its line number —
@@ -287,7 +427,7 @@ fn csv_message(e: er_table::Error) -> String {
     }
 }
 
-fn check_against_schema(header: &[String], schema: &Schema) -> Result<(), IngestError> {
+fn check_against_schema(header: &[Cow<'_, str>], schema: &Schema) -> Result<(), IngestError> {
     if header.len() != schema.arity() {
         return Err(IngestError::Schema {
             message: format!(
@@ -410,10 +550,10 @@ fn json_cell(v: &Json, continuous: bool) -> Result<Value, String> {
 
 /// Stream a source into a fresh [`Relation`] chunk by chunk.
 ///
-/// Record parsing fans out across the configured worker pool, but every
-/// [`Pool`] interning happens here, sequentially, in record order — so the
-/// result (dictionary order, column codes, generation) is byte-identical to
-/// [`er_table::csv::read_str`] on the concatenated file at any thread count.
+/// Each chunk is encoded through [`RowStream::next_relation`] and appended
+/// in file order, so the result (dictionary order, column codes,
+/// generation) is byte-identical to [`er_table::csv::read_str`] on the
+/// concatenated file at any chunk size and thread count.
 pub fn ingest_relation<R: Read>(
     name: &str,
     src: R,
@@ -421,40 +561,25 @@ pub fn ingest_relation<R: Read>(
     config: &IngestConfig,
 ) -> Result<(Relation, IngestStats), IngestError> {
     let mut stream = RowStream::new(name, src, config);
-    let mut builder: Option<RelationBuilder> = None;
-    let mut committed = 0usize;
-    while let Some(rows) = stream.next_batch()? {
-        if builder.is_none() {
-            builder = stream
-                .schema()
-                .map(|s| RelationBuilder::new(Arc::clone(s), Arc::clone(&pool)));
-        }
-        let Some(b) = builder.as_mut() else {
-            return Err(IngestError::Schema {
-                message: "internal: rows before schema resolution".to_string(),
-            });
-        };
-        for row in rows {
-            b.push_row(row).map_err(|e| IngestError::Append {
-                message: format!("row {}: {e}", committed + 1),
-            })?;
-            committed += 1;
+    let mut rel: Option<Relation> = None;
+    while let Some(chunk) = stream.next_relation(&pool)? {
+        match rel.as_mut() {
+            Some(rel) => rel.append(&chunk),
+            None => rel = Some(chunk),
         }
     }
-    let builder = match builder {
-        Some(b) => b,
-        None => match stream.schema() {
-            // Header-only file (or empty NDJSON under an explicit schema):
-            // a valid zero-row relation.
-            Some(s) => RelationBuilder::new(Arc::clone(s), pool),
-            None => {
-                return Err(IngestError::Schema {
-                    message: "no schema resolved from empty input".to_string(),
-                })
-            }
-        },
+    let rel = match (rel, stream.schema()) {
+        (Some(rel), _) => rel,
+        // Header-only file (or empty NDJSON under an explicit schema): a
+        // valid zero-row relation.
+        (None, Some(schema)) => Relation::empty(Arc::clone(schema), pool),
+        (None, None) => {
+            return Err(IngestError::Schema {
+                message: "no schema resolved from empty input".to_string(),
+            })
+        }
     };
-    Ok((builder.finish(), stream.stats()))
+    Ok((rel, stream.stats()))
 }
 
 /// Stream a source into a warm [`IncrEngine`] chunk by chunk.

@@ -12,7 +12,9 @@
 
 use er_datagen::{covid, NoiseConfig, Scenario, ScenarioConfig};
 use er_incr::IncrEngine;
-use er_ingest::{ingest_append, ingest_relation, ChunkConfig, Format, IngestConfig, SchemaMode};
+use er_ingest::{
+    ingest_append, ingest_relation, ChunkConfig, Format, IngestConfig, RowStream, SchemaMode,
+};
 use er_rules::EditingRule;
 use er_table::{csv, Pool, Relation, RelationBuilder, Value};
 use std::sync::Arc;
@@ -113,6 +115,27 @@ fn chunked_csv_build_is_byte_identical_to_whole_file_at_1_2_8_threads() {
             stats.peak_buffer_bytes
         );
         assert!(stats.peak_buffer_bytes > 0, "{context}: peak not tracked");
+
+        // `ingest_relation` encodes straight to codes (`next_relation`);
+        // the Value path (`next_batch`, parsed across the worker pool, then
+        // interned row by row) must build the same bytes.
+        let pool = Arc::new(Pool::new());
+        let mut stream = RowStream::new("big", text.as_bytes(), &config);
+        let mut rel: Option<Relation> = None;
+        while let Some(rows) = stream.next_batch().unwrap() {
+            let schema = Arc::clone(stream.schema().unwrap());
+            let mut chunk = Relation::empty(schema, Arc::clone(&pool));
+            for row in &rows {
+                chunk.push_row_ref(row).unwrap();
+            }
+            match rel.as_mut() {
+                Some(rel) => rel.append(&chunk),
+                None => rel = Some(chunk),
+            }
+        }
+        let context = format!("next_batch at {threads} threads");
+        assert_relations_identical(&whole, &rel.unwrap(), &context);
+        assert_pools_identical(&whole_pool, &pool, &context);
     }
 }
 

@@ -21,7 +21,7 @@ use er_rules::{
     Task, VoteStats,
 };
 use er_shard::{AppendGuard, ShardStats, ShardedEngine};
-use er_table::{AttrId, Pool, Relation, Schema, Value};
+use er_table::{AttrId, Code, Pool, Relation, Schema, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,6 +34,18 @@ pub struct RepairedCell {
     pub attr: String,
     /// The repaired value, rendered the way the CSV writer renders it.
     pub value: String,
+    /// Accumulated certainty score of the winning candidate.
+    pub score: f64,
+}
+
+/// One cell a repair would change, before rendering: the code the vote
+/// chose for the target attribute of a batch row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CodeFix {
+    /// Row index within the batch.
+    pub row: usize,
+    /// The repaired value's code in the engine's pool.
+    pub code: Code,
     /// Accumulated certainty score of the winning candidate.
     pub score: f64,
 }
@@ -213,6 +225,19 @@ impl RepairEngine {
         &self.schema
     }
 
+    /// The value pool the engine shares with its master: a batch handed to
+    /// [`repair_relation`](Self::repair_relation) must be encoded through
+    /// it.
+    pub fn pool(&self) -> &Arc<Pool> {
+        &self.pool
+    }
+
+    /// Distinct values in the engine's dictionary ([`Pool::len`]). Every
+    /// repaired batch interns its unseen values there for good.
+    pub fn pool_values(&self) -> usize {
+        self.pool.len()
+    }
+
     /// A consistent snapshot of the full master relation the warmed indexes
     /// cover, rows in global arrival order (reassembled across shards under
     /// all shard read locks).
@@ -352,31 +377,50 @@ impl RepairEngine {
                 message: e.to_string(),
             })?;
         }
-        let report = self
-            .engine
-            .repair_batch(&batch, deadline)
-            .map_err(EngineError::Batch)?;
-        let (y, _) = self.target;
-        let attr = self.schema.attr(y).name.clone();
-        let mut cells = Vec::new();
-        for (row, pred) in report.predictions.iter().enumerate() {
-            let Some(code) = pred else {
-                continue;
-            };
-            if *code == batch.code(row, y) {
-                continue;
-            }
-            cells.push(RepairedCell {
-                row,
-                attr: attr.clone(),
-                value: self.pool.value(*code).render().into_owned(),
-                score: report.scores[row],
-            });
-        }
+        let fixes = self.repair_relation(&batch, deadline)?;
+        let attr = self.target_attr();
+        let cells = fixes
+            .iter()
+            .map(|fix| RepairedCell {
+                row: fix.row,
+                attr: attr.to_string(),
+                value: self.pool.value(fix.code).render().into_owned(),
+                score: fix.score,
+            })
+            .collect();
         Ok(RepairOutcome {
             rows: rows.len(),
             cells,
         })
+    }
+
+    /// Repair a batch already encoded through the engine's [`pool`](Self::pool)
+    /// in input-schema attribute order, returning the cells the vote would
+    /// change, in row order, unrendered. The deadline works as in
+    /// [`repair`](Self::repair).
+    pub fn repair_relation(
+        &self,
+        batch: &Relation,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<CodeFix>, EngineError> {
+        let report = self
+            .engine
+            .repair_batch(batch, deadline)
+            .map_err(EngineError::Batch)?;
+        let (y, _) = self.target;
+        let target = batch.column(y);
+        Ok(report
+            .predictions
+            .iter()
+            .zip(&report.scores)
+            .zip(target)
+            .enumerate()
+            // A prediction that confirms the value sent is not a repair.
+            .filter_map(|(row, ((pred, &score), &sent))| {
+                pred.filter(|&code| code != sent)
+                    .map(|code| CodeFix { row, code, score })
+            })
+            .collect())
     }
 }
 

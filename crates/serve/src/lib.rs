@@ -54,7 +54,7 @@ pub mod proto;
 pub mod server;
 pub mod tcp;
 
-pub use engine::{EngineError, RepairEngine, RepairOutcome, RepairedCell};
+pub use engine::{CodeFix, EngineError, RepairEngine, RepairOutcome, RepairedCell};
 pub use metrics::{Metrics, Snapshot};
 pub use proto::{parse_request, Request, RowBatch};
 pub use server::{serve_pipe, ReloadError, Reloader, ServeConfig, Server};

@@ -223,7 +223,9 @@ impl Metrics {
 
     /// A consistent-enough snapshot for reporting (counters are read
     /// individually; exactness across counters is not required).
-    pub fn snapshot(&self, queue_depth: usize) -> Snapshot {
+    /// `pool_values` is the serving engine's dictionary size, which the
+    /// caller reads from the engine.
+    pub fn snapshot(&self, queue_depth: usize, pool_values: u64) -> Snapshot {
         let (p50_us, p99_us) = {
             let reservoir = lock(&self.latencies);
             let mut sorted = reservoir.buf.clone();
@@ -257,6 +259,7 @@ impl Metrics {
             shard_broadcast: self.shard_broadcast.load(Ordering::Relaxed),
             shard_rows_max: self.shard_rows_max.load(Ordering::Relaxed),
             shard_rows_total: self.shard_rows_total.load(Ordering::Relaxed),
+            pool_values,
             queue_depth,
             p50_us,
             p99_us,
@@ -322,6 +325,10 @@ pub struct Snapshot {
     pub shard_rows_max: u64,
     /// Master rows across all shards.
     pub shard_rows_total: u64,
+    /// Distinct values in the serving engine's dictionary (`Pool::len`).
+    /// Every `repair` and `repair_csv` interns the values it has not seen
+    /// there for good, so traffic of novel values grows it.
+    pub pool_values: u64,
     /// Repair requests in flight when the snapshot was taken.
     pub queue_depth: usize,
     /// Median repair latency over the window, microseconds.
@@ -405,6 +412,7 @@ impl Snapshot {
                 "shard_imbalance".to_string(),
                 Json::Float(self.shard_imbalance()),
             ),
+            ("pool_values".to_string(), Json::UInt(self.pool_values)),
             (
                 "queue_depth".to_string(),
                 Json::UInt(self.queue_depth as u64),
@@ -417,7 +425,7 @@ impl Snapshot {
     /// One human-readable line for the periodic stderr log.
     pub fn log_line(&self) -> String {
         format!(
-            "serve: requests={} repairs={} fixed={} errors={} panics={} conns={} overloaded={} reloads={} appends={} rejected={} gen={} dedup={:.1} queue={} p50={}us p99={}us",
+            "serve: requests={} repairs={} fixed={} errors={} panics={} conns={} overloaded={} reloads={} appends={} rejected={} gen={} pool={} dedup={:.1} queue={} p50={}us p99={}us",
             self.requests,
             self.repairs,
             self.repaired_cells,
@@ -429,6 +437,7 @@ impl Snapshot {
             self.appends,
             self.rejected,
             self.engine_generation,
+            self.pool_values,
             self.signature_dedup(),
             self.queue_depth,
             self.p50_us,
@@ -454,7 +463,7 @@ mod tests {
         m.connection_opened();
         m.connection_opened();
         m.connection_closed();
-        let s = m.snapshot(1);
+        let s = m.snapshot(1, 0);
         assert_eq!(s.requests, 2);
         assert_eq!(s.repairs, 1);
         assert_eq!(s.repaired_cells, 3);
@@ -479,7 +488,7 @@ mod tests {
             DiagnosticCode::Er012.as_str(),
         ]);
         m.set_engine_generation(42);
-        let s = m.snapshot(0);
+        let s = m.snapshot(0, 0);
         assert_eq!(s.reloads, 1);
         assert_eq!(s.appends, 2);
         assert_eq!(s.diffs, 1);
@@ -494,7 +503,7 @@ mod tests {
         assert_eq!(s.engine_generation, 42);
         // The gauge tracks the latest value, it does not accumulate.
         m.set_engine_generation(7);
-        assert_eq!(m.snapshot(0).engine_generation, 7);
+        assert_eq!(m.snapshot(0, 0).engine_generation, 7);
         let line = serde_json::to_string(&s.to_value()).unwrap();
         assert!(line.contains("\"appends\""));
         assert!(line.contains("\"engine_generation\""));
@@ -504,18 +513,18 @@ mod tests {
     #[test]
     fn vote_stats_gauges_and_dedup_ratio() {
         let m = Metrics::new();
-        let fresh = m.snapshot(0);
+        let fresh = m.snapshot(0, 0);
         assert_eq!(fresh.vote_rows, 0);
         assert_eq!(fresh.signature_probes, 0);
         assert_eq!(fresh.signature_dedup(), 0.0);
         m.set_vote_stats(120, 30);
-        let s = m.snapshot(0);
+        let s = m.snapshot(0, 0);
         assert_eq!(s.vote_rows, 120);
         assert_eq!(s.signature_probes, 30);
         assert!((s.signature_dedup() - 4.0).abs() < 1e-12);
         // Gauges track the latest engine counters, they do not accumulate.
         m.set_vote_stats(200, 40);
-        assert_eq!(m.snapshot(0).vote_rows, 200);
+        assert_eq!(m.snapshot(0, 0).vote_rows, 200);
         let line = serde_json::to_string(&s.to_value()).unwrap();
         assert!(line.contains("\"vote_rows\":120"));
         assert!(line.contains("\"signature_probes\":30"));
@@ -526,12 +535,12 @@ mod tests {
     #[test]
     fn shard_gauges_and_imbalance() {
         let m = Metrics::new();
-        let fresh = m.snapshot(0);
+        let fresh = m.snapshot(0, 0);
         assert_eq!(fresh.shards, 1);
         assert_eq!(fresh.shard_imbalance(), 1.0, "empty master reports 1.0");
         // 4 shards, fullest holds 60 of 120 rows: imbalance 2.0.
         m.set_shard_stats(4, 100, 7, 60, 120);
-        let s = m.snapshot(0);
+        let s = m.snapshot(0, 0);
         assert_eq!(s.shards, 4);
         assert_eq!(s.shard_routed, 100);
         assert_eq!(s.shard_broadcast, 7);
@@ -543,7 +552,7 @@ mod tests {
         assert!(line.contains("\"shard_imbalance\":2"));
         // Gauges track the latest engine counters, they do not accumulate.
         m.set_shard_stats(4, 120, 9, 30, 120);
-        let s = m.snapshot(0);
+        let s = m.snapshot(0, 0);
         assert_eq!(s.shard_routed, 120);
         assert!((s.shard_imbalance() - 1.0).abs() < 1e-12);
     }
@@ -553,7 +562,7 @@ mod tests {
         let m = Metrics::new();
         m.record_ingest(1000, 4);
         m.record_ingest(24, 1);
-        let s = m.snapshot(0);
+        let s = m.snapshot(0, 0);
         assert_eq!(s.ingested_rows, 1024);
         assert_eq!(s.ingest_chunks, 5);
         let line = serde_json::to_string(&s.to_value()).unwrap();
@@ -567,7 +576,7 @@ mod tests {
         for us in 1..=100u64 {
             m.record_repair(Duration::from_micros(us), 0);
         }
-        let s = m.snapshot(0);
+        let s = m.snapshot(0, 0);
         assert_eq!(s.p50_us, 51); // nearest-rank on 1..=100
         assert_eq!(s.p99_us, 99);
     }
@@ -579,19 +588,19 @@ mod tests {
             m.record_repair(Duration::from_micros(7), 0);
         }
         assert_eq!(lock(&m.latencies).buf.len(), WINDOW);
-        assert_eq!(m.snapshot(0).p99_us, 7);
+        assert_eq!(m.snapshot(0, 0).p99_us, 7);
     }
 
     #[test]
     fn empty_window_reports_zero() {
-        let s = Metrics::new().snapshot(0);
+        let s = Metrics::new().snapshot(0, 0);
         assert_eq!(s.p50_us, 0);
         assert_eq!(s.p99_us, 0);
     }
 
     #[test]
     fn snapshot_serializes() {
-        let s = Metrics::new().snapshot(0);
+        let s = Metrics::new().snapshot(0, 0);
         let line = serde_json::to_string(&s.to_value()).unwrap();
         assert!(line.contains("\"requests\""));
         assert!(line.contains("\"panics\":0"));

@@ -14,7 +14,7 @@ use crate::lock;
 use crate::metrics::{Metrics, Snapshot};
 use crate::proto::{self, Request, RowBatch};
 use er_analyze::EditScope;
-use er_ingest::{Format, IngestConfig, RowStream, SchemaMode};
+use er_ingest::{DataChunk, Format, IngestConfig, RowStream, SchemaMode};
 use er_lint::Severity;
 use er_rules::RuleStore;
 use er_table::Value;
@@ -149,8 +149,9 @@ impl Server {
 
     /// Metrics snapshot including the current queue depth.
     pub fn snapshot(&self) -> Snapshot {
+        let pool_values = self.engine.read().pool_values() as u64;
         self.metrics
-            .snapshot(self.in_flight.load(Ordering::Relaxed))
+            .snapshot(self.in_flight.load(Ordering::Relaxed), pool_values)
     }
 
     /// Copy the engine's shard counters into the metrics gauges (the same
@@ -457,8 +458,10 @@ impl Server {
         let mut stream = RowStream::new("repair_csv", file, &config);
         let mut fixed = 0usize;
         loop {
-            let rows = match stream.next_batch() {
-                Ok(Some(rows)) => rows,
+            // Read the chunk first: waiting on a slow source holds neither
+            // a backpressure slot nor the engine lock.
+            let chunk = match stream.next_chunk() {
+                Ok(Some(chunk)) => chunk,
                 Ok(None) => break,
                 Err(e) => return Err(format!("repair_csv: {e}")),
             };
@@ -468,15 +471,42 @@ impl Server {
             let Some(slot) = self.claim_slot_waiting() else {
                 return Err("repair_csv: server is draining".into());
             };
-            let outcome = self
-                .repair_in_slot(&rows, slot)
-                .map_err(|e| format!("repair_csv: {e}"))?;
-            fixed += outcome.fixed();
+            fixed += self.repair_chunk(&mut stream, &chunk, slot)?;
         }
         let stats = stream.stats();
         self.metrics
             .record_ingest(stats.rows as u64, stats.chunks as u64);
         Ok((stats.rows, stats.chunks, fixed))
+    }
+
+    /// Encode a chunk of `stream` straight to codes and repair it, under a
+    /// claimed in-flight `slot` and one engine read guard: a reload between
+    /// chunks cannot leave a chunk encoded through one engine's pool and
+    /// repaired by another. Returns how many cells the repair would change
+    /// (counted, not rendered: the op answers totals). The deadline bounds
+    /// the vote, as for a `repair` request.
+    fn repair_chunk<R: io::Read>(
+        &self,
+        stream: &mut RowStream<R>,
+        chunk: &DataChunk,
+        slot: Slot<'_>,
+    ) -> Result<usize, String> {
+        let (result, votes, started) = {
+            let engine = self.engine.read();
+            let batch = stream
+                .encode_chunk(chunk, engine.pool())
+                .map_err(|e| format!("repair_csv: {e}"))?;
+            let started = Instant::now();
+            let deadline = self.config.deadline.map(|d| started + d);
+            let result = engine.repair_relation(&batch, deadline);
+            self.publish_shard_stats(&engine);
+            (result, engine.vote_stats(), started)
+        };
+        drop(slot);
+        let fixed = result.map_err(|e| format!("repair_csv: {e}"))?.len();
+        self.metrics.record_repair(started.elapsed(), fixed);
+        self.metrics.set_vote_stats(votes.rows, votes.probes);
+        Ok(fixed)
     }
 }
 

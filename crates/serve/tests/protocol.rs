@@ -969,3 +969,207 @@ fn stats_report_shard_routing_counters() {
         "imbalance is a max/mean ratio: {stats:?}"
     );
 }
+
+#[test]
+fn stats_pool_values_grow_by_the_novel_values_a_repair_interns() {
+    // Every repair interns the values it has not seen into the engine's
+    // shared pool for good: three novel values (Atlantis, sunk, lost) grow
+    // it by three, and repeating them grows it by nothing.
+    let s = server(ServeConfig::default());
+    let repair = "{\"op\":\"repair\",\"rows\":[[\"Atlantis\",\"sunk\"],[\"Atlantis\",null],[\"HZ\",\"lost\"]]}";
+    let responses = session(
+        &s,
+        &format!("{{\"op\":\"stats\"}}\n{repair}\n{{\"op\":\"stats\"}}\n{repair}\n{{\"op\":\"stats\"}}\n"),
+    );
+    let pool_values = |i: usize| num(responses[i].get("stats").unwrap(), "pool_values");
+    assert!(ok(&responses[1]), "{responses:?}");
+    assert_eq!(pool_values(0), 4, "HZ, BJ, patient and imports");
+    assert_eq!(pool_values(2), pool_values(0) + 3);
+    assert_eq!(pool_values(4), pool_values(2));
+}
+
+/// A task whose input carries a continuous attribute (Age), for the
+/// unparsable-numeric `repair_csv` case.
+fn age_task() -> Task {
+    let pool = Arc::new(Pool::new());
+    let schema = |name: &str, y: &str| {
+        Arc::new(Schema::new(
+            name,
+            vec![
+                Attribute::categorical("City"),
+                Attribute::continuous("Age"),
+                Attribute::categorical(y),
+            ],
+        ))
+    };
+    let s = Value::str;
+    let mut bm = RelationBuilder::new(schema("m", "Infection"), Arc::clone(&pool));
+    bm.push_row(vec![s("HZ"), Value::int(30), s("patient")])
+        .unwrap();
+    bm.push_row(vec![s("BJ"), Value::int(41), s("imports")])
+        .unwrap();
+    let master = bm.finish();
+    let mut bi = RelationBuilder::new(schema("in", "Case"), pool);
+    bi.push_row(vec![s("HZ"), Value::Null, Value::Null])
+        .unwrap();
+    let input = bi.finish();
+    Task::new(
+        input,
+        master,
+        SchemaMatch::from_pairs(3, &[(0, 0), (1, 1), (2, 2)]),
+        (2, 2),
+    )
+}
+
+/// `repair_csv` over `text` in a fresh session, at the default chunking and
+/// at an 8-byte chunk budget: each answer line verbatim, followed by the
+/// `stats` counters the op moves.
+fn repair_csv_answers(task: &Task, config: &ServeConfig, tag: &str, text: &[u8]) -> Vec<String> {
+    let path = std::env::temp_dir().join(format!("er_serve_pin_{tag}_{}.csv", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let literal = serde_json::to_string(&path.display().to_string()).unwrap();
+    let rules = vec![EditingRule::new(vec![(0, 0)], task.target(), vec![])];
+    let mut answers = Vec::new();
+    for chunk in ["", ",\"chunk_bytes\":8"] {
+        let server = Server::new(
+            RepairEngine::new(task, rules.clone(), 0).unwrap(),
+            config.clone(),
+        );
+        let raw = session_raw(
+            &server,
+            &format!("{{\"op\":\"repair_csv\",\"path\":{literal}{chunk}}}\n{{\"op\":\"stats\"}}\n"),
+        );
+        let mut lines = raw.lines();
+        answers.push(lines.next().unwrap().to_string());
+        let stats: Json = serde_json::from_str(lines.next().unwrap()).unwrap();
+        let stats = stats.get("stats").unwrap();
+        answers.push(format!(
+            "repairs={} ingest_chunks={} ingested_rows={} errors={}",
+            num(stats, "repairs"),
+            num(stats, "ingest_chunks"),
+            num(stats, "ingested_rows"),
+            num(stats, "errors"),
+        ));
+    }
+    std::fs::remove_file(&path).ok();
+    answers
+}
+
+#[test]
+fn repair_csv_answers_are_pinned() {
+    let mut oversized = b"City,Case\nHZ,\n".to_vec();
+    oversized.extend(std::iter::repeat_n(b'x', (1 << 20) + 16));
+    oversized.extend_from_slice(b",\n");
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("bad_utf8", b"City,Case\nHZ,xxxxxx\nM\xFC,\n".to_vec()),
+        ("unterminated", b"City,Case\nHZ,\n\"oops,\n".to_vec()),
+        ("stray_quote", b"City,Case\nHZ,\na\"b\",\n".to_vec()),
+        (
+            "escapes",
+            b"City,Case\n\"H\"\"Z\",\nHZ,\"x\"\"\"\n".to_vec(),
+        ),
+        (
+            "quoted_then_plain",
+            b"City,Case\n\"H\"Z,\n\"B\"J,\n".to_vec(),
+        ),
+        ("arity", b"City,Case\nHZ,xxxxxx\nBJ\nHZ,\n".to_vec()),
+        ("oversized", oversized),
+        ("cr_only", b"City,Case\rHZ,\rBJ,\r".to_vec()),
+        ("crlf", b"City,Case\r\nHZ,\r\nBJ,\r\n".to_vec()),
+        ("blanks", b"City,Case\n  ,\n HZ ,  \nBJ,\t\n".to_vec()),
+    ];
+    let mut got = Vec::new();
+    for (tag, text) in &cases {
+        got.push(format!("# {tag}"));
+        got.extend(repair_csv_answers(
+            &covid_task(),
+            &ServeConfig::default(),
+            tag,
+            text,
+        ));
+    }
+    got.push("# continuous".to_string());
+    got.extend(repair_csv_answers(
+        &age_task(),
+        &ServeConfig::default(),
+        "continuous",
+        b"City,Age,Case\nHZ,abc,\nBJ, 41 ,\nHZ,4.5x,\n",
+    ));
+    got.push("# zero_deadline".to_string());
+    got.extend(repair_csv_answers(
+        &covid_task(),
+        &ServeConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..ServeConfig::default()
+        },
+        "zero_deadline",
+        b"City,Case\nHZ,\nBJ,\n",
+    ));
+    assert_eq!(got, PINNED_REPAIR_CSV);
+}
+
+/// The `repair_csv` answers of the row-by-row Value ingest path, recorded
+/// before the straight-to-codes path replaced it: each case's answer and
+/// counters at the default chunking, then at `chunk_bytes` 8.
+const PINNED_REPAIR_CSV: &[&str] = &[
+    r#"# bad_utf8"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: invalid UTF-8"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: invalid UTF-8"}"#,
+    r#"repairs=1 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"# unterminated"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: input truncated inside a quoted field"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: input truncated inside a quoted field"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"# stray_quote"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: quote inside unquoted field"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: quote inside unquoted field"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"# escapes"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":1,"fixed":1}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=2 errors=0"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":3,"fixed":1}"#,
+    r#"repairs=2 ingest_chunks=3 ingested_rows=2 errors=0"#,
+    r#"# quoted_then_plain"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":1,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=2 errors=0"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":2,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=2 ingested_rows=2 errors=0"#,
+    r#"# arity"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: has 1 fields, expected 2"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: has 1 fields, expected 2"}"#,
+    r#"repairs=1 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"# oversized"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":1,"fixed":1}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=2 errors=0"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: no terminator within 1048576 bytes"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"# cr_only"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":1,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=2 errors=0"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":2,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=2 ingested_rows=2 errors=0"#,
+    r#"# crlf"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":1,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=2 errors=0"#,
+    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":2,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=2 ingested_rows=2 errors=0"#,
+    r#"# blanks"#,
+    r#"{"ok":true,"op":"repair_csv","rows":3,"chunks":1,"fixed":2}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=3 errors=0"#,
+    r#"{"ok":true,"op":"repair_csv","rows":3,"chunks":3,"fixed":2}"#,
+    r#"repairs=2 ingest_chunks=3 ingested_rows=3 errors=0"#,
+    r#"# continuous"#,
+    r#"{"ok":true,"op":"repair_csv","rows":3,"chunks":1,"fixed":3}"#,
+    r#"repairs=1 ingest_chunks=1 ingested_rows=3 errors=0"#,
+    r#"{"ok":true,"op":"repair_csv","rows":3,"chunks":4,"fixed":3}"#,
+    r#"repairs=3 ingest_chunks=4 ingested_rows=3 errors=0"#,
+    r#"# zero_deadline"#,
+    r#"{"ok":false,"error":"repair_csv: batch repair failed: deadline exceeded"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+    r#"{"ok":false,"error":"repair_csv: batch repair failed: deadline exceeded"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
+];

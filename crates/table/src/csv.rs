@@ -7,15 +7,24 @@
 //! * [`read_str_with_schema`] — the caller supplies a [`Schema`]; fields of
 //!   continuous attributes are parsed as integers/floats.
 //!
+//! Both split records with [`split_record`], whose fields borrow from the
+//! text, and encode them with [`CellEncoder`], which parses and interns
+//! each distinct cell once. er-ingest's chunked reader uses the same
+//! [`RecordScanner`], splitter and encoder, chunk by chunk.
+//!
 //! The paper's real datasets (Adult, Covid-19, Nursery, Location) can be
 //! loaded through this module when their CSVs are on disk; the experiment
 //! harness falls back to the synthetic generators otherwise.
 
 use crate::error::{Error, Result};
-use crate::pool::Pool;
+use crate::pool::{Code, Pool, NULL_CODE};
 use crate::relation::{Relation, RelationBuilder};
 use crate::schema::{Attribute, Schema};
 use crate::value::Value;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -47,8 +56,8 @@ pub struct RecordSpan {
 ///
 /// Call [`find`](Self::find) on a growing buffer: on `None`, append more
 /// bytes to the *same* buffer and call again — scanning resumes where it
-/// stopped rather than rescanning. On `Some(span)`, drain `buf[..span.next]`
-/// and start the next record at offset 0.
+/// stopped rather than rescanning. On `Some(span)`, the next record starts
+/// at `span.next`: pass the buffer from there on the next call.
 #[derive(Debug, Default, Clone)]
 pub struct RecordScanner {
     in_quotes: bool,
@@ -71,41 +80,35 @@ impl RecordScanner {
     /// [`in_quotes`](Self::in_quotes) true) a quoted field never closed.
     pub fn find(&mut self, buf: &[u8], eof: bool) -> Option<RecordSpan> {
         let mut i = self.scanned;
-        while i < buf.len() {
-            let b = buf[i];
-            if self.in_quotes {
-                if b == b'"' {
-                    self.in_quotes = false;
+        while let Some(at) = next_special(buf, i, self.in_quotes) {
+            i = at;
+            match buf[i] {
+                b'"' => self.in_quotes = !self.in_quotes,
+                b'\n' => {
+                    self.scanned = 0;
+                    return Some(RecordSpan {
+                        end: i,
+                        next: i + 1,
+                    });
                 }
-            } else {
-                match b {
-                    b'"' => self.in_quotes = true,
-                    b'\n' => {
+                // `next_special` stops at nothing else outside quotes.
+                _ => {
+                    if i + 1 < buf.len() {
+                        let next = i + 1 + usize::from(buf[i + 1] == b'\n');
+                        self.scanned = 0;
+                        return Some(RecordSpan { end: i, next });
+                    }
+                    if eof {
                         self.scanned = 0;
                         return Some(RecordSpan {
                             end: i,
                             next: i + 1,
                         });
                     }
-                    b'\r' => {
-                        if i + 1 < buf.len() {
-                            let next = i + 1 + usize::from(buf[i + 1] == b'\n');
-                            self.scanned = 0;
-                            return Some(RecordSpan { end: i, next });
-                        }
-                        if eof {
-                            self.scanned = 0;
-                            return Some(RecordSpan {
-                                end: i,
-                                next: i + 1,
-                            });
-                        }
-                        // The \r may be half of a CRLF split across reads:
-                        // resume here once the next byte is visible.
-                        self.scanned = i;
-                        return None;
-                    }
-                    _ => {}
+                    // The \r may be half of a CRLF split across reads:
+                    // resume here once the next byte is visible.
+                    self.scanned = i;
+                    return None;
                 }
             }
             i += 1;
@@ -127,11 +130,180 @@ impl RecordScanner {
     }
 }
 
+/// The first byte at or after `from` that can change the scanner's state:
+/// a quote inside a quoted field; a quote, `\n` or `\r` outside one.
+fn next_special(buf: &[u8], from: usize, in_quotes: bool) -> Option<usize> {
+    if in_quotes {
+        find_any(buf, from, [b'"'])
+    } else {
+        find_any(buf, from, [b'"', b'\n', b'\r'])
+    }
+}
+
+/// The first index at or after `from` holding one of `needles`. Tests
+/// eight bytes per step with the SWAR zero-byte trick: in each needle's
+/// mask the lowest flagged byte is a true match (a false flag needs a
+/// borrow from a true match below it), so the lowest flag of their union
+/// is the first match.
+fn find_any<const N: usize>(buf: &[u8], from: usize, needles: [u8; N]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut i = from;
+    while let Some(bytes) = buf.get(i..i + 8) {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(bytes);
+        let word = u64::from_le_bytes(w);
+        let hits = needles.iter().fold(0, |hits, &needle| {
+            let x = word ^ (ONES * u64::from(needle));
+            hits | (x.wrapping_sub(ONES) & !x & HIGHS)
+        });
+        if hits != 0 {
+            return Some(i + hits.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    let rest = buf.get(i..)?;
+    rest.iter().position(|b| needles.contains(b)).map(|p| i + p)
+}
+
 /// Split one record body (terminator already stripped by [`RecordScanner`])
-/// into raw string fields, validating RFC-4180 quoting. `base_line` is the
-/// 1-based line number where the record starts, used in error reports; line
-/// breaks inside quoted fields advance it.
-pub fn split_record(record: &str, base_line: usize) -> Result<Vec<String>> {
+/// into fields that borrow from `record`, validating RFC-4180 quoting.
+/// `base_line` is the 1-based line number where the record starts, used in
+/// error reports; line breaks inside quoted fields advance it.
+///
+/// Every parse path splits with this function: the whole-file loaders here
+/// and er-ingest's chunked reader.
+pub fn split_record(record: &str, base_line: usize) -> Result<Vec<Cow<'_, str>>> {
+    let mut fields = Vec::new();
+    split_fields(record, base_line, &mut fields)?;
+    Ok(fields)
+}
+
+/// [`split_record`] appending to a caller-owned vector, so a loop over many
+/// records reuses one allocation. A field is a borrowed slice of `record`
+/// unless its text is not contiguous there: a quoted field holding a `""`
+/// escape, or one continued after its closing quote (`"ab"c` reads `abc`).
+/// On error `out` is left as it was.
+pub fn split_fields<'a>(
+    record: &'a str,
+    base_line: usize,
+    out: &mut Vec<Cow<'a, str>>,
+) -> Result<()> {
+    let mark = out.len();
+    let split = split_into(record, base_line, out);
+    if split.is_err() {
+        out.truncate(mark);
+    }
+    split
+}
+
+fn split_into<'a>(record: &'a str, base_line: usize, out: &mut Vec<Cow<'a, str>>) -> Result<()> {
+    let bytes = record.as_bytes();
+    let mut line = base_line;
+    let mut field = FieldText::default();
+    let mut i = 0;
+    loop {
+        // An unquoted run: up to the next delimiter, quote or line break.
+        // Every byte searched for is ASCII, so each cut is a char boundary.
+        let stop = find_any(bytes, i, [b',', b'"', b'\r', b'\n']).unwrap_or(bytes.len());
+        field.push(record, i, stop);
+        match bytes.get(stop) {
+            None => {
+                out.push(field.take(record));
+                return Ok(());
+            }
+            Some(b',') => {
+                out.push(field.take(record));
+                i = stop + 1;
+            }
+            Some(b'"') => {
+                if !field.is_empty() {
+                    return Err(csv_error(line, "quote inside unquoted field"));
+                }
+                // A quoted run: up to the closing quote, `""` reading as one
+                // literal quote.
+                let mut j = stop + 1;
+                loop {
+                    let Some(q) = find_any(bytes, j, [b'"']) else {
+                        line += count_newlines(&bytes[j..]);
+                        return Err(csv_error(line, "unterminated quoted field"));
+                    };
+                    line += count_newlines(&bytes[j..q]);
+                    if bytes.get(q + 1) == Some(&b'"') {
+                        field.push(record, j, q + 1);
+                        j = q + 2;
+                    } else {
+                        field.push(record, j, q);
+                        i = q + 1;
+                        break;
+                    }
+                }
+            }
+            // Unreachable from scanner-delimited bodies (a line break outside
+            // quotes terminates the record), but a caller passing raw text
+            // deserves a typed error, not data loss.
+            Some(_) => return Err(csv_error(line, "bare line break inside record")),
+        }
+    }
+}
+
+fn csv_error(line: usize, message: &str) -> Error {
+    Error::Csv {
+        line,
+        message: message.to_string(),
+    }
+}
+
+fn count_newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// The text of one field under construction: a byte range of the record
+/// while it is contiguous there, an owned copy once it is not.
+#[derive(Default)]
+struct FieldText {
+    start: usize,
+    end: usize,
+    owned: Option<String>,
+}
+
+impl FieldText {
+    fn push(&mut self, record: &str, start: usize, end: usize) {
+        if start == end {
+            return;
+        }
+        match &mut self.owned {
+            Some(text) => text.push_str(&record[start..end]),
+            None if self.start == self.end => (self.start, self.end) = (start, end),
+            None if self.end == start => self.end = end,
+            None => {
+                let mut text = String::with_capacity(self.end - self.start + end - start);
+                text.push_str(&record[self.start..self.end]);
+                text.push_str(&record[start..end]);
+                self.owned = Some(text);
+            }
+        }
+    }
+
+    /// No text yet (an owned copy is only made of two nonempty pieces).
+    fn is_empty(&self) -> bool {
+        self.owned.is_none() && self.start == self.end
+    }
+
+    fn take<'a>(&mut self, record: &'a str) -> Cow<'a, str> {
+        let text = match self.owned.take() {
+            Some(text) => Cow::Owned(text),
+            None => Cow::Borrowed(&record[self.start..self.end]),
+        };
+        (self.start, self.end) = (0, 0);
+        text
+    }
+}
+
+/// The owned, char-at-a-time splitter [`split_record`] replaced, kept as
+/// the reference its property tests compare against: the same fields, or
+/// the same error with the same message and line. Not on any parse path.
+pub fn split_record_reference(record: &str, base_line: usize) -> Result<Vec<String>> {
     let mut fields = Vec::new();
     let mut field = String::new();
     let mut in_quotes = false;
@@ -158,42 +330,235 @@ pub fn split_record(record: &str, base_line: usize) -> Result<Vec<String>> {
             match c {
                 '"' => {
                     if !field.is_empty() {
-                        return Err(Error::Csv {
-                            line,
-                            message: "quote inside unquoted field".to_string(),
-                        });
+                        return Err(csv_error(line, "quote inside unquoted field"));
                     }
                     in_quotes = true;
                 }
                 ',' => fields.push(std::mem::take(&mut field)),
-                '\r' | '\n' => {
-                    // Unreachable from scanner-delimited bodies (a line break
-                    // outside quotes terminates the record), but a caller
-                    // passing raw text deserves a typed error, not data loss.
-                    return Err(Error::Csv {
-                        line,
-                        message: "bare line break inside record".to_string(),
-                    });
-                }
+                '\r' | '\n' => return Err(csv_error(line, "bare line break inside record")),
                 _ => field.push(c),
             }
         }
     }
     if in_quotes {
-        return Err(Error::Csv {
-            line,
-            message: "unterminated quoted field".to_string(),
-        });
+        return Err(csv_error(line, "unterminated quoted field"));
     }
     fields.push(field);
     Ok(fields)
 }
 
-/// Parse CSV text into rows of raw string fields. The first record is the
+/// Straight-to-codes encoding of split records.
+///
+/// Each column keeps a map from the trimmed raw cell to an id local to the
+/// encoder, so a distinct cell is parsed ([`parse_field`]) and interned
+/// once per encoder rather than once per occurrence. Interning waits for
+/// [`commit`](Self::commit), which interns the distinct cells in the order
+/// they first occurred, row-major: the order a row-by-row [`Value`] build
+/// interns them in. So the pool's dictionary order and every code are the
+/// same as on that path, and an encoder dropped on an error (a later
+/// record failing to split) leaves the pool untouched.
+///
+/// The maps borrow their keys from the records, so an encoder lives as
+/// long as one batch of them: a chunk in er-ingest, the whole text here.
+pub struct CellEncoder<'a> {
+    continuous: Vec<bool>,
+    /// Per column: trimmed raw cell → encoder-local id.
+    seen: Vec<CellMap<&'a str>>,
+    /// The same for cells the splitter had to copy (`""` escapes). A text
+    /// in both maps gets two ids, which intern to one code.
+    seen_owned: Vec<CellMap<String>>,
+    /// Encoder-local id → (column, trimmed raw cell), in first-occurrence
+    /// order.
+    distinct: Vec<(usize, Cow<'a, str>)>,
+    /// Per column, the encoder-local id of each row's cell; [`BLANK`] for
+    /// cells that trim to empty.
+    ids: Vec<Vec<u32>>,
+    rows: usize,
+}
+
+type CellMap<K> = HashMap<K, u32, CellHashSeed>;
+
+/// The encoder-local id of a cell that trims to empty (NULL).
+const BLANK: u32 = u32::MAX;
+
+impl<'a> CellEncoder<'a> {
+    /// An empty encoder for rows of `schema`.
+    pub fn new(schema: &Schema) -> Self {
+        let arity = schema.arity();
+        CellEncoder {
+            continuous: schema
+                .attributes()
+                .iter()
+                .map(Attribute::is_continuous)
+                .collect(),
+            seen: (0..arity).map(|_| CellMap::default()).collect(),
+            seen_owned: (0..arity).map(|_| CellMap::default()).collect(),
+            distinct: Vec::new(),
+            ids: vec![Vec::new(); arity],
+            rows: 0,
+        }
+    }
+
+    /// Encode one row of raw fields, in attribute order.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one field per attribute: callers
+    /// check a record's arity before encoding it.
+    pub fn push_row(&mut self, fields: impl IntoIterator<Item = Cow<'a, str>>) {
+        let mut fields = fields.into_iter();
+        for attr in 0..self.ids.len() {
+            let Some(raw) = fields.next() else {
+                panic!("encoded row is shorter than the schema");
+            };
+            let id = match raw {
+                Cow::Borrowed(raw) => {
+                    let raw = trim(raw);
+                    match self.seen[attr].get(raw) {
+                        Some(&id) => id,
+                        None if raw.is_empty() => BLANK,
+                        None => {
+                            let id = self.next_id(attr, Cow::Borrowed(raw));
+                            self.seen[attr].insert(raw, id);
+                            id
+                        }
+                    }
+                }
+                Cow::Owned(raw) => {
+                    let raw = trim(&raw);
+                    match self.seen_owned[attr].get(raw) {
+                        Some(&id) => id,
+                        None if raw.is_empty() => BLANK,
+                        None => {
+                            let id = self.next_id(attr, Cow::Owned(raw.to_string()));
+                            self.seen_owned[attr].insert(raw.to_string(), id);
+                            id
+                        }
+                    }
+                }
+            };
+            self.ids[attr].push(id);
+        }
+        assert!(
+            fields.next().is_none(),
+            "encoded row is longer than the schema"
+        );
+        self.rows += 1;
+    }
+
+    fn next_id(&mut self, attr: usize, raw: Cow<'a, str>) -> u32 {
+        // There are fewer distinct cells than cells, and a batch of 2^32
+        // cells does not fit in memory first.
+        let id = self.distinct.len() as u32;
+        self.distinct.push((attr, raw));
+        id
+    }
+
+    /// Intern the distinct cells in first-occurrence order through the
+    /// builder's pool and append the rows to `builder`.
+    pub fn commit(self, builder: &mut RelationBuilder) {
+        let pool = Arc::clone(builder.pool());
+        let codes: Vec<Code> = self
+            .distinct
+            .iter()
+            .map(|(attr, raw)| pool.intern(parse_field(raw, self.continuous[*attr])))
+            .collect();
+        let mut columns = self.ids;
+        for column in &mut columns {
+            for id in column.iter_mut() {
+                *id = if *id == BLANK {
+                    NULL_CODE
+                } else {
+                    codes[*id as usize]
+                };
+            }
+        }
+        builder.push_columns(columns, self.rows);
+    }
+}
+
+/// `raw` without surrounding whitespace ([`str::trim`]), skipping the
+/// Unicode scan when both ends are printable ASCII, as nearly every cell's
+/// are.
+fn trim(raw: &str) -> &str {
+    let solid = |b: &u8| (b'!'..=b'~').contains(b);
+    match raw.as_bytes() {
+        [first, .., last] if solid(first) && solid(last) => raw,
+        [only] if solid(only) => raw,
+        _ => raw.trim(),
+    }
+}
+
+/// FxHash, the rustc hasher: one rotate-xor-multiply per 8 input bytes.
+/// The cell maps hash millions of short strings per file, where SipHash
+/// made a whole `repair_csv` a fifth to a third slower. Cells come from
+/// outside the program, so each map starts from a random seed
+/// ([`CellHashSeed`]) and colliding cells cannot be prepared offline
+/// against a known layout; a map also lives for one chunk, which bounds
+/// what collisions can cost. Nothing reads a map's iteration order, so
+/// the seed never reaches the output.
+#[derive(Clone, Copy)]
+struct CellHasher(u64);
+
+/// The random seed of one cell map's [`CellHasher`]s.
+#[derive(Clone, Copy)]
+struct CellHashSeed(u64);
+
+impl Default for CellHashSeed {
+    fn default() -> Self {
+        CellHashSeed(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for CellHashSeed {
+    type Hasher = CellHasher;
+
+    fn build_hasher(&self) -> CellHasher {
+        CellHasher(self.0)
+    }
+}
+
+impl CellHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            self.add(u64::from_le_bytes(w));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.add(u64::from(b));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Parse CSV text into the fields of each record. The first record is the
 /// header. Empty input yields an error. Records end on `\n`, `\r\n`, or a
 /// lone `\r` (classic-Mac exports) — previously lone `\r` was swallowed,
 /// silently merging every record into one.
-fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
+fn parse_records(text: &str) -> Result<Vec<Vec<Cow<'_, str>>>> {
     let bytes = text.as_bytes();
     let mut records = Vec::new();
     let mut scanner = RecordScanner::new();
@@ -203,21 +568,15 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
         let rest = &bytes[pos..];
         let Some(span) = scanner.find(rest, true) else {
             // Only reachable when a quoted field never closes before EOF.
-            let line = line + rest.iter().filter(|&&b| b == b'\n').count();
-            return Err(Error::Csv {
-                line,
-                message: "unterminated quoted field".to_string(),
-            });
+            let line = line + count_newlines(rest);
+            return Err(csv_error(line, "unterminated quoted field"));
         };
         records.push(split_record(&text[pos..pos + span.end], line)?);
-        line += rest[..span.next].iter().filter(|&&b| b == b'\n').count();
+        line += count_newlines(&rest[..span.next]);
         pos += span.next;
     }
     if records.is_empty() {
-        return Err(Error::Csv {
-            line: 1,
-            message: "empty csv input".to_string(),
-        });
+        return Err(csv_error(1, "empty csv input"));
     }
     Ok(records)
 }
@@ -225,16 +584,16 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
 /// Validate an inferred header before handing it to [`Schema::new`] (which
 /// treats duplicates as caller bugs and panics): untrusted CSV input must
 /// surface schema-inference failures as typed errors instead.
-pub fn check_header(header: &[String]) -> Result<()> {
+pub fn check_header<S: AsRef<str>>(header: &[S]) -> Result<()> {
     for (i, h) in header.iter().enumerate() {
-        let name = h.trim();
+        let name = h.as_ref().trim();
         if name.is_empty() {
             return Err(Error::Csv {
                 line: 1,
                 message: format!("header column {} has an empty name", i + 1),
             });
         }
-        if header[..i].iter().any(|prev| prev.trim() == name) {
+        if header[..i].iter().any(|prev| prev.as_ref().trim() == name) {
             return Err(Error::Csv {
                 line: 1,
                 message: format!("duplicate header column {name:?}"),
@@ -293,25 +652,32 @@ pub fn read_str_with_schema(text: &str, schema: Arc<Schema>, pool: Arc<Pool>) ->
     build_rows(schema, &records[1..], pool)
 }
 
-fn build_rows(schema: Arc<Schema>, records: &[Vec<String>], pool: Arc<Pool>) -> Result<Relation> {
-    let mut b = RelationBuilder::new(Arc::clone(&schema), pool);
+/// Encode the data records straight to codes. A record of the wrong arity
+/// stops the load with the rows before it committed, as a row-by-row build
+/// would leave them.
+fn build_rows(
+    schema: Arc<Schema>,
+    records: &[Vec<Cow<'_, str>>],
+    pool: Arc<Pool>,
+) -> Result<Relation> {
+    let mut encoder = CellEncoder::new(&schema);
+    let mut ragged = None;
     for (i, rec) in records.iter().enumerate() {
         if rec.len() != schema.arity() {
-            return Err(Error::Csv {
+            ragged = Some(Error::Csv {
                 line: i + 2,
                 message: format!("row has {} fields, expected {}", rec.len(), schema.arity()),
             });
+            break;
         }
-        let mut row = Vec::with_capacity(rec.len());
-        for (attr, raw) in rec.iter().enumerate() {
-            row.push(parse_field(raw, schema.attr(attr).is_continuous()));
-        }
-        b.push_row(row).map_err(|e| Error::Csv {
-            line: i + 2,
-            message: e.to_string(),
-        })?;
+        encoder.push_row(rec.iter().map(|f| Cow::Borrowed(f.as_ref())));
     }
-    Ok(b.finish())
+    let mut b = RelationBuilder::new(schema, pool);
+    encoder.commit(&mut b);
+    match ragged {
+        Some(e) => Err(e),
+        None => Ok(b.finish()),
+    }
 }
 
 /// Parse one raw field into a [`Value`]: trimmed, empty means NULL, and

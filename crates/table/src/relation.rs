@@ -359,6 +359,27 @@ impl RelationBuilder {
         self.rel.generation += 1;
     }
 
+    /// Append `rows` rows given column by column: `columns[attr]` holds
+    /// the codes of every new row, from the same pool.
+    pub(crate) fn push_columns(&mut self, columns: Vec<Vec<Code>>, rows: usize) {
+        debug_assert_eq!(columns.len(), self.rel.schema.arity());
+        for (dst, src) in self.rel.columns.iter_mut().zip(columns) {
+            debug_assert_eq!(src.len(), rows);
+            if dst.is_empty() {
+                *dst = src;
+            } else {
+                dst.extend_from_slice(&src);
+            }
+        }
+        self.rel.num_rows += rows;
+        self.rel.generation += rows as u64;
+    }
+
+    /// The pool the relation encodes through.
+    pub(crate) fn pool(&self) -> &Arc<Pool> {
+        &self.rel.pool
+    }
+
     /// Number of rows pushed so far.
     pub fn len(&self) -> usize {
         self.rel.num_rows

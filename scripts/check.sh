@@ -2,7 +2,8 @@
 # The local mirror of CI: formatting, the clippy lint wall, the full test
 # suite (sequential, with miner invariant audits, and with ER_THREADS=4
 # worker pools), the RL kernels and their golden bits at the release
-# profile, er-lint over the committed example rule set, the quick
+# profile, the CSV splitter/scanner property tests at a larger release
+# case budget, er-lint over the committed example rule set, the quick
 # repair/ingest benchmarks (identity + trajectory checks), and two
 # er-serve pipe-mode smokes (repair/append batches, then registry-backed
 # repair_csv bulk streaming), plus the sharded serving smokes: the same
@@ -45,6 +46,9 @@ cargo test --release -p er-rl -q
 
 echo "==> cargo test --release --test rl_golden -q (golden bits hold at the release profile)"
 cargo test --release --test rl_golden -q
+
+echo "==> cargo test --release -p er-table --test proptests -q (CSV splitter and scanner against their references, larger case budget)"
+cargo test --release -p er-table --test proptests -q
 
 echo "==> ER_THREADS=4 cargo test -p er-incr -q (append/rebuild equivalence)"
 ER_THREADS=4 cargo test -p er-incr -q
