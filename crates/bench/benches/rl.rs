@@ -108,9 +108,8 @@ fn bench_rlminer_step(c: &mut Criterion) {
     });
     c.bench_function("rlminer/mask_at_root", |b| {
         let env = MinerEnv::new(&s.task, &enc, RewardConfig::new(10), 50);
-        let _ = &env;
         let rule = EditingRule::root(s.task.target());
-        b.iter(|| black_box(compute_mask(&enc, &rule, None)))
+        b.iter(|| black_box(compute_mask(&enc, &rule, Some((env.tree(), 0)))))
     });
     c.bench_function("rlminer/env_episode_50_random_steps", |b| {
         b.iter(|| {

@@ -17,7 +17,7 @@ usage: experiments [--paper-scale|--quick] [--repeats N] [--train-steps N] [--th
        experiments analyze [--dataset NAME] [--seed N] [--threads N] [--json] [--out PATH] <rules.json>
        experiments diff [--dataset NAME] [--seed N] [--threads N] [--scope JSON] [--json] [--out PATH] <old.json> <new.json>
        experiments prove [--dataset NAME] [--seed N] [--threads N] [--json] [--out PATH] <rules.json>
-  ids: all table1 table2 table3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablate par_sweep serve_bench shard_bench incr_bench repair_bench ingest_bench
+  ids: all table1 table2 table3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablate par_sweep serve_bench shard_bench incr_bench repair_bench ingest_bench mine_bench
   --paper-scale   run at the paper's dataset sizes (EnuMiner may take hours)
   --quick         smoke-test scale (shorter training, tighter budgets)
   --repeats N     repetitions for mean±std tables (default 3, paper 5)
@@ -190,6 +190,9 @@ fn main() {
             }
             "ingest_bench" => {
                 er_bench::ingest_bench(&cfg);
+            }
+            "mine_bench" => {
+                er_bench::mine_bench(&cfg);
             }
             other => die(&format!("unknown experiment id {other}")),
         }

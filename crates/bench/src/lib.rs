@@ -29,6 +29,7 @@
 pub mod incr_bench;
 pub mod ingest_bench;
 pub mod methods;
+pub mod mine_bench;
 pub mod repair_bench;
 pub mod runners;
 pub mod serve_bench;
@@ -39,6 +40,7 @@ pub mod trajectory;
 pub use incr_bench::{incr_bench, IncrBench};
 pub use ingest_bench::{ingest_bench, IngestBench};
 pub use methods::{ctane_method, enuminer_method, rlminer_method, MethodOutcome};
+pub use mine_bench::{mine_bench, MineBench};
 pub use repair_bench::{repair_bench, RepairBench};
 pub use runners::*;
 pub use serve_bench::{serve_bench, ServeBench};

@@ -14,11 +14,11 @@ use std::collections::HashMap;
 
 /// What an action index means (the transition function `T` of Definition 5).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Refinement {
+pub enum Refinement<'a> {
     /// Add `(A, A_m)` to `LHS(φ)`.
     Lhs(AttrId, AttrId),
     /// Add a condition to the pattern `t_p`.
-    Pattern(Condition),
+    Pattern(&'a Condition),
     /// Stop refining the current node and move on (`a_stop`).
     Stop,
 }
@@ -36,6 +36,13 @@ pub struct StateEncoder {
     lhs_index: HashMap<(AttrId, AttrId), usize>,
     cond_index: HashMap<Condition, usize>,
     target: (AttrId, AttrId),
+    /// Per input attribute: the action indices of its LHS pairs.
+    lhs_of_attr: Vec<Vec<usize>>,
+    /// Per input attribute: the action indices of its conditions.
+    conditions_of_attr: Vec<Vec<usize>>,
+    /// Per action: whether it refines the target attribute `Y` (a
+    /// Definition 1 violation whatever the rule).
+    refines_target: Vec<bool>,
 }
 
 impl StateEncoder {
@@ -50,12 +57,36 @@ impl StateEncoder {
             .enumerate()
             .map(|(i, c)| (c.clone(), i))
             .collect();
+        let (y, _) = task.target();
+        let width = lhs_pairs
+            .iter()
+            .map(|&(a, _)| a)
+            .chain(conditions.iter().map(|c| c.attr))
+            .max()
+            .map_or(0, |a| a + 1);
+        let mut lhs_of_attr = vec![Vec::new(); width];
+        for (action, &(a, _)) in lhs_pairs.iter().enumerate() {
+            lhs_of_attr[a].push(action);
+        }
+        let mut conditions_of_attr = vec![Vec::new(); width];
+        for (i, c) in conditions.iter().enumerate() {
+            conditions_of_attr[c.attr].push(lhs_pairs.len() + i);
+        }
+        let refines_target = lhs_pairs
+            .iter()
+            .map(|&(a, _)| a == y)
+            .chain(conditions.iter().map(|c| c.attr == y))
+            .chain([false]) // the stop action
+            .collect();
         StateEncoder {
             lhs_pairs,
             conditions,
             lhs_index,
             cond_index,
             target: task.target(),
+            lhs_of_attr,
+            conditions_of_attr,
+            refines_target,
         }
     }
 
@@ -122,7 +153,7 @@ impl StateEncoder {
     ///
     /// # Panics
     /// Panics if `action > state_dim()` (out of the action space).
-    pub fn refinement(&self, action: usize) -> Refinement {
+    pub fn refinement(&self, action: usize) -> Refinement<'_> {
         if action == self.stop_action() {
             return Refinement::Stop;
         }
@@ -130,7 +161,7 @@ impl StateEncoder {
             let (a, am) = self.lhs_pairs[action];
             Refinement::Lhs(a, am)
         } else {
-            Refinement::Pattern(self.conditions[action - self.lhs_dim()].clone())
+            Refinement::Pattern(&self.conditions[action - self.lhs_dim()])
         }
     }
 
@@ -138,21 +169,27 @@ impl StateEncoder {
     /// stop). Actions that would violate Definition 1 (duplicate attribute)
     /// also return `None`; the mask prevents the agent from selecting them.
     pub fn apply(&self, rule: &EditingRule, action: usize) -> Option<EditingRule> {
+        if self.refines_target(action) {
+            return None;
+        }
         match self.refinement(action) {
             Refinement::Stop => None,
             Refinement::Lhs(a, am) => {
-                if rule.lhs_contains_input(a) || a == self.target.0 {
-                    return None;
-                }
-                Some(rule.with_lhs_pair(a, am))
+                (!rule.lhs_contains_input(a)).then(|| rule.with_lhs_pair(a, am))
             }
             Refinement::Pattern(cond) => {
-                if rule.pattern_contains(cond.attr) || cond.attr == self.target.0 {
-                    return None;
-                }
-                Some(rule.with_condition(cond))
+                (!rule.pattern_contains(cond.attr)).then(|| rule.with_condition(cond.clone()))
             }
         }
+    }
+
+    /// Whether `action` adds the target attribute `Y` to the LHS or the
+    /// pattern, which no rule may do (Definition 1).
+    ///
+    /// # Panics
+    /// Panics if `action > state_dim()` (out of the action space).
+    pub fn refines_target(&self, action: usize) -> bool {
+        self.refines_target[action]
     }
 
     /// Action index of an LHS pair, if it is in the encoder's universe.
@@ -166,24 +203,14 @@ impl StateEncoder {
     }
 
     /// Action indices whose dimension belongs to attribute `a`'s conditions.
-    pub fn condition_actions_of_attr(&self, a: AttrId) -> Vec<usize> {
-        self.conditions
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.attr == a)
-            .map(|(i, _)| i + self.lhs_dim())
-            .collect()
+    pub fn condition_actions_of_attr(&self, a: AttrId) -> &[usize] {
+        self.conditions_of_attr.get(a).map_or(&[], Vec::as_slice)
     }
 
     /// Action indices of all LHS dims for input attribute `a`
     /// (all `(a, A'_m)`, `A'_m ∈ M(a)` — what Algorithm 1 lines 6–8 mask).
-    pub fn lhs_actions_of_attr(&self, a: AttrId) -> Vec<usize> {
-        self.lhs_pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, &(x, _))| x == a)
-            .map(|(i, _)| i)
-            .collect()
+    pub fn lhs_actions_of_attr(&self, a: AttrId) -> &[usize] {
+        self.lhs_of_attr.get(a).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -260,11 +287,27 @@ mod tests {
         let (a, _) = task.candidate_lhs_pairs()[0];
         let lhs_dims = enc.lhs_actions_of_attr(a);
         assert!(!lhs_dims.is_empty());
-        for d in lhs_dims {
+        for &d in lhs_dims {
             match enc.refinement(d) {
                 Refinement::Lhs(x, _) => assert_eq!(x, a),
                 other => panic!("expected LHS refinement, got {other:?}"),
             }
         }
+        // Every non-stop action sits in exactly one list, its attribute's;
+        // no action of this universe refines the target.
+        let mut listed = vec![0; enc.action_dim()];
+        for attr in 0..task.input().num_attrs() {
+            for &d in enc.lhs_actions_of_attr(attr) {
+                assert!(matches!(enc.refinement(d), Refinement::Lhs(x, _) if x == attr));
+                listed[d] += 1;
+            }
+            for &d in enc.condition_actions_of_attr(attr) {
+                assert!(matches!(enc.refinement(d), Refinement::Pattern(c) if c.attr == attr));
+                listed[d] += 1;
+            }
+        }
+        assert_eq!(listed.pop(), Some(0), "the stop action is in no list");
+        assert!(listed.iter().all(|&n| n == 1));
+        assert!((0..enc.action_dim()).all(|d| !enc.refines_target(d)));
     }
 }

@@ -8,7 +8,7 @@
 //! Algorithm 2 calls out explicitly.
 
 use crate::encoding::StateEncoder;
-use crate::mask::compute_mask_par;
+use crate::mask::compute_mask;
 use crate::tree::RuleTree;
 use er_rules::{EditingRule, Evaluator, Measures, Task};
 use std::collections::HashMap;
@@ -94,6 +94,10 @@ pub struct MinerEnv<'a> {
     /// Rules evaluated from scratch (cache misses) — a cost counter for the
     /// efficiency experiments.
     fresh_evaluations: usize,
+    /// Every rule generated in this episode, collected rule by rule: the
+    /// audit's independent view of the tree's action-set visited table.
+    #[cfg(feature = "debug-invariants")]
+    audit_visited: std::collections::HashSet<EditingRule>,
 }
 
 impl<'a> MinerEnv<'a> {
@@ -104,8 +108,8 @@ impl<'a> MinerEnv<'a> {
     }
 
     /// Build the environment with an explicit worker-thread count for cover
-    /// scans and global-mask refreshes (`0` = auto). The environment's
-    /// trajectory is identical at any thread count.
+    /// scans (`0` = auto). The environment's trajectory is identical at any
+    /// thread count.
     pub fn with_threads(
         task: &'a Task,
         encoder: &'a StateEncoder,
@@ -128,6 +132,8 @@ impl<'a> MinerEnv<'a> {
             rewards: HashMap::new(),
             steps: 0,
             fresh_evaluations: 0,
+            #[cfg(feature = "debug-invariants")]
+            audit_visited: Default::default(),
         };
         env.reset();
         env
@@ -141,6 +147,11 @@ impl<'a> MinerEnv<'a> {
         let root_measures = self.evaluator.eval_on_cover_cached(&root, &all_rows);
         let root_reward = self.rule_reward(root_measures);
         self.rewards.entry(root.clone()).or_insert(root_reward);
+        #[cfg(feature = "debug-invariants")]
+        {
+            self.audit_visited.clear();
+            self.audit_visited.insert(root.clone());
+        }
         self.tree = RuleTree::new(root, root_measures, all_rows);
         // The root joins the level-order queue so the walk can return to it
         // after the first descent (its siblings-to-be are still unexplored).
@@ -158,20 +169,13 @@ impl<'a> MinerEnv<'a> {
     }
 
     /// The current action mask (Algorithm 1), honoring the global-mask
-    /// ablation switch. Large action spaces refresh the global mask on the
-    /// evaluator's worker pool.
+    /// ablation switch.
     pub fn mask(&self) -> Vec<bool> {
-        let tree = if self.reward.global_mask {
-            Some(&self.tree)
-        } else {
-            None
-        };
-        compute_mask_par(
-            self.encoder,
-            self.current_rule(),
-            tree,
-            &self.evaluator.pool(),
-        )
+        let visited = self
+            .reward
+            .global_mask
+            .then_some((&self.tree, self.tree.current()));
+        compute_mask(self.encoder, self.current_rule(), visited)
     }
 
     /// Apply action `a_t` (Algorithm 4 + Algorithm 2). Returns the reward
@@ -196,8 +200,7 @@ impl<'a> MinerEnv<'a> {
         }
 
         let current_id = self.tree.current();
-        let parent_rule = self.tree.node(current_id).rule.clone();
-        let Some(child) = self.encoder.apply(&parent_rule, action) else {
+        let Some(child) = self.encoder.apply(&self.tree.node(current_id).rule, action) else {
             // The mask makes this unreachable for a well-behaved agent;
             // penalize defensively instead of panicking on exploration bugs.
             return StepOutcome {
@@ -236,14 +239,19 @@ impl<'a> MinerEnv<'a> {
             && self.tree.node(current_id).children.is_empty()
             && measures.support >= self.reward.support_threshold
         {
-            let parent_reward = self.rewards.get(&parent_rule).copied().unwrap_or(0.0);
+            let parent_rule = &self.tree.node(current_id).rule;
+            let parent_reward = self.rewards.get(parent_rule).copied().unwrap_or(0.0);
             reward += base - parent_reward;
         }
 
         // Grow the tree (Algorithm 4, lines 11–17).
+        #[cfg(feature = "debug-invariants")]
+        self.audit_visited.insert(child.clone());
         if measures.support >= self.reward.support_threshold {
             let certain = measures.certainty >= self.reward.certainty_stop;
-            let node = self.tree.add_child(current_id, child, measures, cover);
+            let node = self
+                .tree
+                .add_child(current_id, action, child, measures, cover);
             if !certain {
                 // Refinable: descend into the child (Alg. 4 returns its
                 // state), and re-queue the parent — it still has unexplored
@@ -258,7 +266,7 @@ impl<'a> MinerEnv<'a> {
         } else {
             // Below threshold: never becomes a node, but must stay visited
             // so the global mask won't let the agent regenerate it.
-            self.tree.mark_visited(child);
+            self.tree.mark_visited(current_id, action);
         }
 
         let done = self.tree.num_discovered() >= self.k;
@@ -269,20 +277,23 @@ impl<'a> MinerEnv<'a> {
 
     /// Check the invariants of every structure the environment owns: the
     /// rule tree, the evaluator caches, and the freshly computed action mask
-    /// for the current state. Called after every [`MinerEnv::step`] when the
-    /// `debug-invariants` feature is on; also usable directly from tests.
+    /// for the current state, against the mask Algorithm 1 gives over the
+    /// rules this episode generated. Called after every [`MinerEnv::step`]
+    /// when the `debug-invariants` feature is on; also usable directly from
+    /// tests.
     ///
     /// Panics on violation.
     #[cfg(feature = "debug-invariants")]
     pub fn check_invariants(&self) {
         self.tree.check_invariants();
         self.evaluator.check_invariants();
-        let tree = if self.reward.global_mask {
-            Some(&self.tree)
-        } else {
-            None
-        };
-        crate::mask::check_mask_invariants(self.encoder, self.current_rule(), tree, &self.mask());
+        let visited = self.reward.global_mask.then_some(&self.audit_visited);
+        crate::mask::check_mask_invariants(
+            self.encoder,
+            self.current_rule(),
+            visited,
+            &self.mask(),
+        );
     }
 
     fn rule_reward(&self, m: Measures) -> f64 {

@@ -48,6 +48,6 @@ pub use encoding::{Refinement, StateEncoder};
 pub use env::{MinerEnv, RewardConfig, StepOutcome};
 #[cfg(feature = "debug-invariants")]
 pub use mask::check_mask_invariants;
-pub use mask::compute_mask;
+pub use mask::{compute_mask, reference_mask};
 pub use miner::{MineResult, RlMiner, RlMinerConfig, TrainStats};
 pub use tree::RuleTree;

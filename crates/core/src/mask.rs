@@ -10,88 +10,48 @@
 //!   condition per pattern attribute).
 //! * **Global mask** (lines 12–17): any action whose resulting rule was
 //!   already generated in this tree is masked, so the agent never wastes a
-//!   step re-discovering a rule.
+//!   step re-discovering a rule. The tree keys every generated rule by its
+//!   action set, so this is one probe of `key(φ) ∪ {a}` per action
+//!   ([`crate::tree`]); no child rule is built.
 //! * The stop action (last dimension) is **never** masked.
 
-use crate::encoding::StateEncoder;
-use crate::tree::RuleTree;
-use er_par::WorkerPool;
+use crate::encoding::{Refinement, StateEncoder};
+use crate::tree::{NodeId, RuleTree};
 use er_rules::EditingRule;
+use std::collections::HashSet;
 
-/// Minimum action dimension before the global-mask pass of
-/// [`compute_mask_par`] fans out over the worker pool — below this the loop
-/// is cheaper than the thread handoff.
-const PAR_MASK_MIN_ACTIONS: usize = 512;
-
-/// Compute the action mask for `rule` (Algorithm 1), sequentially.
+/// Compute the action mask for `rule` (Algorithm 1).
 ///
-/// `tree` supplies the visited-rule set for the global mask; pass `None` to
-/// apply the local mask only (the ablation of §"global mask off").
+/// `visited` names the tree and the node holding `rule`; its visited set
+/// drives the global mask. Pass `None` to apply the local mask only (the
+/// ablation of §"global mask off"). Each action costs a few array reads and
+/// at most one probe of the tree's action-set table; no rule is built.
 pub fn compute_mask(
     encoder: &StateEncoder,
     rule: &EditingRule,
-    tree: Option<&RuleTree>,
-) -> Vec<bool> {
-    compute_mask_par(encoder, rule, tree, &WorkerPool::sequential())
-}
-
-/// Compute the action mask for `rule` (Algorithm 1), fanning the global-mask
-/// refinement checks out over `pool` when the action space is large.
-///
-/// Each action's verdict (`apply` + visited lookup) is independent of every
-/// other action's, so the parallel mask is identical to the sequential one
-/// at any thread count.
-pub fn compute_mask_par(
-    encoder: &StateEncoder,
-    rule: &EditingRule,
-    tree: Option<&RuleTree>,
-    pool: &WorkerPool,
+    visited: Option<(&RuleTree, NodeId)>,
 ) -> Vec<bool> {
     let mut mask = vec![true; encoder.action_dim()];
 
     // Local mask: attributes already used on the LHS.
     for &(a, _) in rule.lhs() {
-        for dim in encoder.lhs_actions_of_attr(a) {
+        for &dim in encoder.lhs_actions_of_attr(a) {
             mask[dim] = false;
         }
     }
     // Local mask: attributes already constrained in the pattern.
     for cond in rule.pattern() {
-        for dim in encoder.condition_actions_of_attr(cond.attr) {
+        for &dim in encoder.condition_actions_of_attr(cond.attr) {
             mask[dim] = false;
         }
     }
 
-    // Global mask: actions that would re-create an existing rule. A slot
-    // stays on iff the local mask allows it AND the refinement is
-    // structurally valid AND the resulting rule was not generated before.
-    if let Some(tree) = tree {
-        let stop = encoder.stop_action();
-        let global_allows = |action: usize, local: bool| -> bool {
-            if action == stop || !local {
-                return local;
-            }
-            match encoder.apply(rule, action) {
-                Some(child) => !tree.contains(&child),
-                // The refinement is structurally invalid (duplicate attr the
-                // local mask did not know about, or the target attribute).
-                None => false,
-            }
-        };
-        if pool.threads() > 1 && mask.len() >= PAR_MASK_MIN_ACTIONS {
-            let local = mask;
-            mask = pool
-                .ranges(local.len(), |r| {
-                    r.map(|action| global_allows(action, local[action]))
-                        .collect::<Vec<bool>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-        } else {
-            for (action, slot) in mask.iter_mut().enumerate() {
-                *slot = global_allows(action, *slot);
-            }
+    // Global mask: a slot stays on iff the local mask allows it AND the
+    // refinement is structurally valid (it does not touch the target
+    // attribute) AND the resulting rule was not generated before.
+    if let Some((tree, node)) = visited {
+        for (action, slot) in mask.iter_mut().enumerate() {
+            *slot = *slot && !encoder.refines_target(action) && !tree.child_visited(node, action);
         }
     }
 
@@ -101,23 +61,47 @@ pub fn compute_mask_par(
     mask
 }
 
-/// Invariants of a computed action mask, available under the
-/// `debug-invariants` feature.
-///
-/// * the mask has exactly `action_dim` entries and the stop action is on;
-/// * every LHS dimension of an attribute already in `X` and every condition
-///   dimension of an attribute already constrained in `t_p` is off (local
-///   mask, Algorithm 1 lines 3–11);
-/// * with a tree, every unmasked non-stop action applies to a rule *not* yet
-///   generated — a masked action is never re-selectable (global mask, lines
-///   12–17).
+/// Algorithm 1 written out rule by rule: the oracle [`compute_mask`] is
+/// checked against. The local mask asks the rule whether each action's
+/// attribute is taken; with `visited` (the rules generated so far), the
+/// global mask builds every child with [`StateEncoder::apply`] and looks it
+/// up. Slow — one rule per action — and meant for tests and audits.
+pub fn reference_mask(
+    encoder: &StateEncoder,
+    rule: &EditingRule,
+    visited: Option<&HashSet<EditingRule>>,
+) -> Vec<bool> {
+    (0..encoder.action_dim())
+        .map(|action| {
+            let local = match encoder.refinement(action) {
+                Refinement::Stop => return true,
+                Refinement::Lhs(a, _) => !rule.lhs_contains_input(a),
+                Refinement::Pattern(cond) => !rule.pattern_contains(cond.attr),
+            };
+            match visited {
+                None => local,
+                Some(visited) => {
+                    local
+                        && encoder
+                            .apply(rule, action)
+                            .is_some_and(|child| !visited.contains(&child))
+                }
+            }
+        })
+        .collect()
+}
+
+/// Check a computed action mask against [`reference_mask`], available under
+/// the `debug-invariants` feature: same width, stop on, and every action's
+/// verdict equal to the one Algorithm 1 gives when each child rule is built
+/// and looked up in `visited` (`None` = local mask only).
 ///
 /// Panics on violation; meant for debug builds and tests.
 #[cfg(feature = "debug-invariants")]
 pub fn check_mask_invariants(
     encoder: &StateEncoder,
     rule: &EditingRule,
-    tree: Option<&RuleTree>,
+    visited: Option<&HashSet<EditingRule>>,
     mask: &[bool],
 ) {
     assert_eq!(
@@ -125,38 +109,17 @@ pub fn check_mask_invariants(
         encoder.action_dim(),
         "mask: wrong action dimension"
     );
-    let stop = encoder.stop_action();
-    assert!(mask[stop], "mask: stop action must never be masked");
-    for &(a, _) in rule.lhs() {
-        for dim in encoder.lhs_actions_of_attr(a) {
-            assert!(
-                !mask[dim],
-                "mask: LHS dim {dim} of used attribute {a} left unmasked"
-            );
-        }
-    }
-    for cond in rule.pattern() {
-        for dim in encoder.condition_actions_of_attr(cond.attr) {
-            assert!(
-                !mask[dim],
-                "mask: condition dim {dim} of constrained attribute {} left unmasked",
-                cond.attr
-            );
-        }
-    }
-    if let Some(tree) = tree {
-        for (action, &on) in mask.iter().enumerate() {
-            if action == stop || !on {
-                continue;
-            }
-            match encoder.apply(rule, action) {
-                Some(child) => assert!(
-                    !tree.contains(&child),
-                    "mask: action {action} re-creates an already generated rule"
-                ),
-                None => panic!("mask: structurally invalid action {action} left unmasked"),
-            }
-        }
+    assert!(
+        mask[encoder.stop_action()],
+        "mask: stop action must never be masked"
+    );
+    let reference = reference_mask(encoder, rule, visited);
+    if let Some(action) = (0..mask.len()).find(|&a| mask[a] != reference[a]) {
+        panic!(
+            "mask: action {action} is {} but Algorithm 1 says {}",
+            if mask[action] { "on" } else { "off" },
+            if reference[action] { "on" } else { "off" },
+        );
     }
 }
 
@@ -187,7 +150,7 @@ mod tests {
         let root = EditingRule::root(task.target());
         // Even with every rule visited, stop stays on.
         let tree = RuleTree::new(root.clone(), Measures::zero(), vec![]);
-        let mask = compute_mask(&enc, &root, Some(&tree));
+        let mask = compute_mask(&enc, &root, Some((&tree, 0)));
         assert!(mask[enc.stop_action()]);
     }
 
@@ -197,11 +160,11 @@ mod tests {
         let (a, am) = task.candidate_lhs_pairs()[0];
         let rule = EditingRule::root(task.target()).with_lhs_pair(a, am);
         let mask = compute_mask(&enc, &rule, None);
-        for dim in enc.lhs_actions_of_attr(a) {
+        for &dim in enc.lhs_actions_of_attr(a) {
             assert!(!mask[dim], "dim {dim} for used attr {a} must be masked");
         }
         // Conditions on that attribute remain allowed (X and X_p may overlap).
-        for dim in enc.condition_actions_of_attr(a) {
+        for &dim in enc.condition_actions_of_attr(a) {
             assert!(mask[dim]);
         }
     }
@@ -213,14 +176,14 @@ mod tests {
         let attr = cond.attr;
         let rule = EditingRule::root(task.target()).with_condition(cond);
         let mask = compute_mask(&enc, &rule, None);
-        for dim in enc.condition_actions_of_attr(attr) {
+        for &dim in enc.condition_actions_of_attr(attr) {
             assert!(
                 !mask[dim],
                 "condition dim {dim} on attr {attr} must be masked"
             );
         }
         // LHS dims of the same attribute stay allowed.
-        for dim in enc.lhs_actions_of_attr(attr) {
+        for &dim in enc.lhs_actions_of_attr(attr) {
             assert!(mask[dim]);
         }
     }
@@ -232,11 +195,13 @@ mod tests {
         let mut tree = RuleTree::new(root.clone(), Measures::zero(), vec![]);
         // Pretend the child via action 0 was already generated.
         let child = enc.apply(&root, 0).unwrap();
-        tree.add_child(0, child, Measures::zero(), vec![]);
-        let mask = compute_mask(&enc, &root, Some(&tree));
+        tree.add_child(0, 0, child.clone(), Measures::zero(), vec![]);
+        let mask = compute_mask(&enc, &root, Some((&tree, 0)));
         assert!(!mask[0], "action 0 recreates an existing rule");
         // A sibling action stays allowed.
         assert!(mask[1]);
+        let visited = HashSet::from([root.clone(), child]);
+        assert_eq!(mask, reference_mask(&enc, &root, Some(&visited)));
     }
 
     #[test]

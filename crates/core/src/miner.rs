@@ -64,9 +64,9 @@ pub struct RlMinerConfig {
     pub prioritized_replay: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for cover scans, mask refreshes, and harvest
-    /// re-evaluation (`0` = auto: `ER_THREADS` or sequential). Mining output
-    /// is identical at any thread count.
+    /// Worker threads for cover scans and harvest re-evaluation (`0` =
+    /// auto: `ER_THREADS` or sequential). Mining output is identical at any
+    /// thread count.
     pub threads: usize,
 }
 
@@ -250,9 +250,8 @@ impl RlMiner {
         'train: while n < steps {
             env.reset();
             let mut episode_steps = 0usize;
+            let (mut state, mut mask) = (env.state(), env.mask());
             loop {
-                let state = env.state();
-                let mask = env.mask();
                 let action = self.agent.select_action(&state, &mask);
                 let out = env.step(action);
                 reward_sum += out.reward;
@@ -260,16 +259,12 @@ impl RlMiner {
                 let truncated = episode_steps >= self.config.max_episode_steps;
                 // Truncation is not termination: bootstrap from the next
                 // state as usual so the value function stays unbiased.
-                let next = if out.done {
-                    None
-                } else {
-                    Some((env.state(), env.mask()))
-                };
+                let next = (!out.done).then(|| (env.state(), env.mask()));
                 self.agent.observe(Transition {
                     state,
                     action,
                     reward: out.reward as f32,
-                    next,
+                    next: next.clone(),
                 });
                 if let Some(loss) = self.agent.learn() {
                     loss_sum += loss as f64;
@@ -283,6 +278,9 @@ impl RlMiner {
                 if n >= steps {
                     break 'train;
                 }
+                // Not done, so `next` holds the post-step state and mask:
+                // the next step's input, computed once.
+                (state, mask) = next.unwrap_or_default();
             }
             Self::harvest_into(&mut self.seen_rules, self.config.support_threshold, &env);
         }

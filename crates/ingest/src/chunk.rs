@@ -21,8 +21,9 @@ pub struct ChunkConfig {
     /// boundary at or past this many bytes. Default 1 MiB.
     pub chunk_bytes: usize,
     /// Hard cap on a single record. A record with no terminator within this
-    /// budget aborts the load with [`IngestError::OversizedRecord`] instead
-    /// of buffering without bound. Default 1 MiB.
+    /// budget (a body of at least this many bytes) aborts the load with
+    /// [`IngestError::OversizedRecord`] instead of buffering without bound,
+    /// whatever the chunking. Default 1 MiB.
     pub max_record_bytes: usize,
 }
 
@@ -155,6 +156,13 @@ impl<R: Read> ChunkReader<R> {
         };
         loop {
             match self.find_boundary() {
+                Some(span) if span.end >= self.config.max_record_bytes => {
+                    // The record ended inside the buffer, but its body
+                    // reaches the cap: the same answer as when its bytes
+                    // arrive a few at a time and the cap trips before the
+                    // terminator does.
+                    return Err(self.oversized());
+                }
                 Some(span) => {
                     let body = &self.buf[self.pos..self.pos + span.end];
                     let body = std::str::from_utf8(body).map_err(|_| IngestError::BadUtf8 {
@@ -178,11 +186,11 @@ impl<R: Read> ChunkReader<R> {
                     return Ok((!chunk.is_empty()).then_some(chunk));
                 }
                 None => {
-                    if self.buf.len() - self.pos >= self.config.max_record_bytes {
-                        return Err(IngestError::OversizedRecord {
-                            record: self.records_out + 1,
-                            limit: self.config.max_record_bytes,
-                        });
+                    // No boundary in more than the cap: the record body is at
+                    // least the cap long (a trailing `\r` may still be the
+                    // start of its terminator).
+                    if self.buf.len() - self.pos > self.config.max_record_bytes {
+                        return Err(self.oversized());
                     }
                     // Drop the consumed prefix: one move per refill. The
                     // scanners resume relative to the record start, which
@@ -198,6 +206,14 @@ impl<R: Read> ChunkReader<R> {
                     }
                 }
             }
+        }
+    }
+
+    /// The error for a record whose body reaches `max_record_bytes`.
+    fn oversized(&self) -> IngestError {
+        IngestError::OversizedRecord {
+            record: self.records_out + 1,
+            limit: self.config.max_record_bytes,
         }
     }
 
@@ -314,6 +330,58 @@ mod tests {
                 limit: 16,
             }) => {}
             other => panic!("expected OversizedRecord, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn record_cap_holds_at_every_chunking() {
+        // A body one byte under the cap passes; one at the cap, or past it,
+        // fails — whether the record's terminator arrives in the same read
+        // as the cap or many reads later, and in both boundary modes.
+        const LIMIT: usize = 64;
+        for body in [LIMIT - 1, LIMIT, LIMIT + 17] {
+            for tail in [&b"\nafter\n"[..], b"\r\n", b""] {
+                let mut text = b"A\nshort\n".to_vec();
+                text.extend(std::iter::repeat_n(b'x', body));
+                text.extend_from_slice(tail);
+                for chunk_bytes in [1, 3, 8, 64, 100, 1 << 20] {
+                    for quoted in [true, false] {
+                        let config = ChunkConfig {
+                            chunk_bytes,
+                            max_record_bytes: LIMIT,
+                        };
+                        let mut reader = if quoted {
+                            ChunkReader::new(&text[..], config)
+                        } else {
+                            ChunkReader::new_lines(&text[..], config)
+                        };
+                        let mut outcome = Ok(0);
+                        while let Ok(n) = outcome {
+                            outcome = match reader.next_chunk() {
+                                Ok(Some(chunk)) => Ok(n + chunk.len()),
+                                Ok(None) => break,
+                                Err(e) => Err(e),
+                            };
+                        }
+                        let case = format!("body {body}, tail {tail:?}, chunk {chunk_bytes}");
+                        if body < LIMIT {
+                            let records = 3 + usize::from(tail.len() > 2);
+                            assert_eq!(outcome.ok(), Some(records), "{case}");
+                        } else {
+                            assert!(
+                                matches!(
+                                    outcome,
+                                    Err(IngestError::OversizedRecord {
+                                        record: 3,
+                                        limit: LIMIT
+                                    })
+                                ),
+                                "{case}: {outcome:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -51,8 +51,8 @@ impl Adam {
         net.visit_params(|idx, params, grads| {
             let moments = ms[idx].iter_mut().zip(vs[idx].iter_mut());
             for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
+                *m = b1 * flush_subnormal(*m) + (1.0 - b1) * g;
+                *v = b2 * flush_subnormal(*v) + (1.0 - b2) * g * g;
                 let m_hat = *m / bc1;
                 let v_hat = *v / bc2;
                 *p -= lr * m_hat / (v_hat.sqrt() + eps);
@@ -63,6 +63,21 @@ impl Adam {
     /// Number of steps taken.
     pub fn steps(&self) -> u64 {
         self.t
+    }
+}
+
+/// A subnormal moment reads as zero. The first moment of a parameter whose
+/// gradient stopped decays by `β₁` per step into the subnormal range, where
+/// rounding keeps it stuck a few ulps above zero, and every arithmetic
+/// operation on it takes the CPU's slow path. Its contribution to the update
+/// (≈ 1e-45 · lr / ε) is far below any parameter's ulp, so flushing it
+/// changes no parameter of a trained network in practice.
+#[inline]
+fn flush_subnormal(x: f32) -> f32 {
+    if x.is_subnormal() {
+        0.0
+    } else {
+        x
     }
 }
 
@@ -101,6 +116,35 @@ mod tests {
         }
         assert!(last_loss < first_loss.unwrap() * 0.05, "loss {last_loss}");
         assert_eq!(adam.steps(), 400);
+    }
+
+    #[test]
+    fn subnormal_moments_decay_to_zero() {
+        // One parameter gets a gradient once, then none: its first moment
+        // decays by β₁ per step and, unflushed, would stick at a few
+        // subnormal ulps forever.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut net = Mlp::new(&[1, 1], &mut rng);
+        let mut adam = Adam::new(1e-3);
+        let x = Mat::from_vec(1, 1, vec![1.0]);
+        net.zero_grad();
+        net.forward_train(&x);
+        net.backward(&Mat::from_vec(1, 1, vec![1.0]));
+        adam.step(&mut net);
+        net.zero_grad();
+        for _ in 0..2000 {
+            adam.step(&mut net);
+        }
+        for m in adam.m.iter().flatten() {
+            assert!(
+                !m.is_subnormal(),
+                "moment {m:e} stuck in the subnormal range"
+            );
+            assert_eq!(*m, 0.0);
+        }
+        assert_eq!(flush_subnormal(f32::MIN_POSITIVE / 2.0), 0.0);
+        assert_eq!(flush_subnormal(f32::MIN_POSITIVE), f32::MIN_POSITIVE);
+        assert_eq!(flush_subnormal(-0.0).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

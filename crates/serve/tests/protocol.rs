@@ -1110,7 +1110,10 @@ fn repair_csv_answers_are_pinned() {
 
 /// The `repair_csv` answers of the row-by-row Value ingest path, recorded
 /// before the straight-to-codes path replaced it: each case's answer and
-/// counters at the default chunking, then at `chunk_bytes` 8.
+/// counters at the default chunking, then at `chunk_bytes` 8. One answer
+/// was later corrected: the oversized record at the default chunking was
+/// first pinned as `ok`, because a record that ended inside the buffered
+/// bytes skipped the `max_record_bytes` cap; it now fails at both chunkings.
 const PINNED_REPAIR_CSV: &[&str] = &[
     r#"# bad_utf8"#,
     r#"{"ok":false,"error":"repair_csv: record 3: invalid UTF-8"}"#,
@@ -1143,8 +1146,8 @@ const PINNED_REPAIR_CSV: &[&str] = &[
     r#"{"ok":false,"error":"repair_csv: record 3: has 1 fields, expected 2"}"#,
     r#"repairs=1 ingest_chunks=0 ingested_rows=0 errors=1"#,
     r#"# oversized"#,
-    r#"{"ok":true,"op":"repair_csv","rows":2,"chunks":1,"fixed":1}"#,
-    r#"repairs=1 ingest_chunks=1 ingested_rows=2 errors=0"#,
+    r#"{"ok":false,"error":"repair_csv: record 3: no terminator within 1048576 bytes"}"#,
+    r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
     r#"{"ok":false,"error":"repair_csv: record 3: no terminator within 1048576 bytes"}"#,
     r#"repairs=0 ingest_chunks=0 ingested_rows=0 errors=1"#,
     r#"# cr_only"#,

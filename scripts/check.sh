@@ -4,7 +4,7 @@
 # worker pools), the RL kernels and their golden bits at the release
 # profile, the CSV splitter/scanner property tests at a larger release
 # case budget, er-lint over the committed example rule set, the quick
-# repair/ingest benchmarks (identity + trajectory checks), and two
+# repair/ingest/mine benchmarks (identity + trajectory checks), and two
 # er-serve pipe-mode smokes (repair/append batches, then registry-backed
 # repair_csv bulk streaming), plus the sharded serving smokes: the same
 # session at --shards 4 (pipe and TCP) must answer byte-identically and
@@ -44,7 +44,7 @@ ER_THREADS=4 cargo test --workspace -q
 echo "==> cargo test --release -p er-rl -q (value-network kernels at opt-level 3, thin LTO)"
 cargo test --release -p er-rl -q
 
-echo "==> cargo test --release --test rl_golden -q (golden bits hold at the release profile)"
+echo "==> cargo test --release --test rl_golden -q (golden bits hold at the release profile, 5000-step training included)"
 cargo test --release --test rl_golden -q
 
 echo "==> cargo test --release -p er-table --test proptests -q (CSV splitter and scanner against their references, larger case budget)"
@@ -122,6 +122,12 @@ ingestout=$(cargo run -p er-bench --release --bin experiments -- --quick ingest_
 echo "$ingestout"
 [[ "$ingestout" == *'byte-identical'* ]]
 [[ "$ingestout" == *'well-formed'* ]]
+
+echo "==> experiments mine_bench --quick (replica == RlMiner::train, trajectory well-formed)"
+mineout=$(cargo run -p er-bench --release --bin experiments -- --quick mine_bench)
+echo "$mineout"
+[[ "$mineout" == *'replica reproduces RlMiner::train'* ]]
+[[ "$mineout" == *'well-formed'* ]]
 
 echo "==> experiments serve_bench --quick (socket == pipe, trajectory well-formed)"
 serveout=$(cargo run -p er-bench --release --bin experiments -- --quick serve_bench)

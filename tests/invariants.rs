@@ -21,6 +21,7 @@ use er_rlminer::{
 };
 use er_rules::{ConditionSpaceConfig, EditingRule, Evaluator, Measures};
 use er_table::{GroupIndex, KeyIndex, Pli};
+use std::collections::HashSet;
 
 #[test]
 fn enuminer_passes_invariant_audit() {
@@ -83,22 +84,26 @@ fn rule_tree_invariants_hold_while_growing() {
     tree.check_invariants();
     let a = tree.add_child(
         0,
+        0,
         EditingRule::new(vec![(0, 0)], (9, 9), vec![]),
         Measures::zero(),
         vec![0],
     );
     let b = tree.add_child(
         0,
+        1,
         EditingRule::new(vec![(1, 1)], (9, 9), vec![]),
         Measures::zero(),
         vec![1],
     );
     tree.add_child(
         a,
+        1,
         EditingRule::new(vec![(0, 0), (1, 1)], (9, 9), vec![]),
         Measures::zero(),
         vec![],
     );
+    tree.mark_visited(b, 2);
     tree.enqueue(a);
     tree.enqueue(b);
     tree.enqueue(a); // idempotent
@@ -119,10 +124,11 @@ fn mask_invariants_hold_with_and_without_tree() {
     // Grow a tree so the global mask has something to forbid.
     let mut tree = RuleTree::new(root.clone(), Measures::zero(), vec![]);
     let child = enc.apply(&root, 0).expect("action 0 applies at the root");
-    tree.add_child(0, child, Measures::zero(), vec![]);
-    let mask = compute_mask(&enc, &root, Some(&tree));
+    tree.add_child(0, 0, child.clone(), Measures::zero(), vec![]);
+    let mask = compute_mask(&enc, &root, Some((&tree, 0)));
     assert!(!mask[0]);
-    check_mask_invariants(&enc, &root, Some(&tree), &mask);
+    let visited = HashSet::from([root.clone(), child]);
+    check_mask_invariants(&enc, &root, Some(&visited), &mask);
 }
 
 #[test]

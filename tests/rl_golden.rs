@@ -9,7 +9,9 @@
 //! Covid scenario. Each run is reduced to FNV-1a hashes of `to_bits()`
 //! values: every loss, every action taken, the final online parameters, and
 //! the mined rule document. The pinned values were taken before the kernels
-//! were rewritten; a change that moves one bit anywhere fails here.
+//! were rewritten; a change that moves one bit anywhere fails here. A
+//! paper-length 5000-step training, long enough for Adam moments to decay
+//! into the subnormal range, is pinned the same way at the release profile.
 
 // Test code: a panic is the failure report; fixture helpers sit outside
 // any #[test] fn, so the clippy.toml test exemption does not reach them.
@@ -189,5 +191,93 @@ fn rlminer_train_and_mine_bits() {
             0xc186_6999_db64_563e,
         ),
         "RlMiner: (steps, reward_sum, mean_loss, rules, rule document) moved"
+    );
+}
+
+/// Algorithm 3 at the paper's length, rebuilt from the public environment
+/// and agent calls so every loss is visible: a seeded 5000-step training on
+/// a small Covid scenario with the paper's exploration schedule. Returns
+/// hashes of (every loss, every action, the final online parameters) and the
+/// number of learn steps.
+fn train_5000(s: &Scenario) -> (u64, u64, u64, usize) {
+    use erminer::rlminer::{MinerEnv, RewardConfig, StateEncoder};
+    let config = RlMinerConfig::new(s.support_threshold);
+    let encoder = StateEncoder::new(&s.task, config.condition_space);
+    let mut dqn = DqnConfig::new(encoder.state_dim(), encoder.action_dim());
+    dqn.hidden = config.hidden.clone();
+    dqn.lr = config.lr;
+    dqn.gamma = config.gamma;
+    (dqn.epsilon_start, dqn.epsilon_end, dqn.epsilon_decay_steps) = config.epsilon;
+    dqn.batch_size = config.batch_size;
+    dqn.replay_capacity = config.replay_capacity;
+    dqn.target_sync_every = config.target_sync_every;
+    dqn.learn_start = config.batch_size * 2;
+    dqn.seed = config.seed;
+    let mut agent = DqnAgent::new(dqn);
+    let reward = RewardConfig {
+        theta: config.theta,
+        low_support_penalty: config.low_support_penalty,
+        ..RewardConfig::normalized(config.support_threshold, s.task.input().num_rows())
+    };
+    let mut env = MinerEnv::with_threads(&s.task, &encoder, reward, config.k, 1);
+    let (mut losses, mut actions, mut learned) = (Fnv::new(), Fnv::new(), 0usize);
+    let mut n = 0usize;
+    while n < config.train_steps {
+        env.reset();
+        let mut episode_steps = 0usize;
+        loop {
+            let state = env.state();
+            let action = agent.select_action(&state, &env.mask());
+            actions.word(action as u32);
+            let out = env.step(action);
+            episode_steps += 1;
+            let next = (!out.done).then(|| (env.state(), env.mask()));
+            agent.observe(Transition {
+                state,
+                action,
+                reward: out.reward as f32,
+                next,
+            });
+            if let Some(loss) = agent.learn() {
+                losses.word(loss.to_bits());
+                learned += 1;
+            }
+            n += 1;
+            if out.done || episode_steps >= config.max_episode_steps || n >= config.train_steps {
+                break;
+            }
+        }
+    }
+    let mut params = Fnv::new();
+    agent.export_network().visit_params(|_, p, _| {
+        for v in p.iter() {
+            params.word(v.to_bits());
+        }
+    });
+    (losses.0, actions.0, params.0, learned)
+}
+
+/// The paper-length run: by step 3000 tens of thousands of Adam moments of
+/// parameters that stopped receiving gradient have decayed into the
+/// subnormal range. Release profile only (`cargo test --release --test
+/// rl_golden`): at the debug profile the run takes minutes.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-profile golden")]
+fn rlminer_5000_step_training_bits() {
+    let s = DatasetKind::Covid.build(ScenarioConfig {
+        input_size: 400,
+        master_size: 250,
+        seed: 15,
+        ..DatasetKind::Covid.paper_config()
+    });
+    assert_eq!(
+        train_5000(&s),
+        (
+            0xd448_7085_a9d8_146f,
+            0x430c_d348_e288_bed9,
+            0x11c6_7e92_e559_00c3,
+            4937
+        ),
+        "5000-step training: (loss, action, parameter) hashes moved"
     );
 }
