@@ -26,7 +26,6 @@ fn bench_mlp(c: &mut Criterion) {
     });
     c.bench_function("rl/mlp_forward_backward_batch32", |b| {
         b.iter(|| {
-            mlp.zero_grad();
             let y = mlp.forward_train(&x);
             let grad = Mat::from_vec(32, 257, vec![0.01; 32 * 257]);
             mlp.backward(&grad);

@@ -12,10 +12,13 @@
 //! then a staged replica of the training loop built from the public
 //! environment and agent calls, with a clock around each call: state
 //! encoding, the action mask, action selection, the environment step, and
-//! the learn step. The replica must reproduce the training statistics bit
-//! for bit, and the mined rules must hash the same as the trajectory's last
-//! full entry for the same workload and step count, before any time is
-//! reported: a speed-up that changed the rules would not count.
+//! the learn step. The agent's own [`LearnProfile`] splits the learn step
+//! further (sample, forward, bootstrap, backward, optimize) and counts the
+//! target rows it computed and reused. The replica must reproduce the
+//! training statistics bit for bit, and the mined rules must hash the same
+//! as the trajectory's last full entry for the same workload and step
+//! count, before any time is reported: a speed-up that changed the rules
+//! would not count.
 //!
 //! Besides `results/mine_bench.json`, a full (non-`--quick`) run appends one
 //! entry per workload to the repo-root `BENCH_mine.json` trajectory file;
@@ -24,7 +27,7 @@
 use crate::trajectory::{append_trajectory, validate_trajectory};
 use crate::ExperimentConfig;
 use er_datagen::{DatasetKind, Scenario};
-use er_rl::{DqnAgent, DqnConfig, Transition};
+use er_rl::{DqnAgent, DqnConfig, LearnProfile, Transition};
 use er_rlminer::{MinerEnv, RewardConfig, RlMiner, RlMinerConfig, StateEncoder, TrainStats};
 use er_rules::rules_to_json;
 use serde::Serialize;
@@ -70,6 +73,22 @@ pub struct MineBench {
     /// Replica: seconds in learn steps (replay sample, forward, backward,
     /// Adam).
     pub learn_seconds: f64,
+    /// Replica, inside `learn`: seconds drawing batches.
+    pub learn_sample_seconds: f64,
+    /// Replica, inside `learn`: seconds in the online training forward.
+    pub learn_forward_seconds: f64,
+    /// Replica, inside `learn`: seconds building bootstrapped targets
+    /// (target rows, the Double DQN online forward, the masked max).
+    pub learn_bootstrap_seconds: f64,
+    /// Replica, inside `learn`: seconds in the loss and backpropagation.
+    pub learn_backward_seconds: f64,
+    /// Replica, inside `learn`: seconds in Adam, priority updates and
+    /// target syncs.
+    pub learn_optimize_seconds: f64,
+    /// Replica: target-network Q rows computed for sampled next states.
+    pub bootstrap_rows_computed: u64,
+    /// Replica: sampled next states served from the bootstrap cache.
+    pub bootstrap_rows_reused: u64,
     /// Rules mined.
     pub rules: usize,
     /// FNV-1a hash of the mined rule document, as hex.
@@ -112,7 +131,7 @@ fn config(s: &Scenario, cfg: &ExperimentConfig) -> RlMinerConfig {
 
 /// Algorithm 3 rebuilt from the public environment and agent calls, as
 /// `RlMiner::train` runs it, with a clock around each call.
-fn staged_train(task: &er_rules::Task, c: &RlMinerConfig) -> (TrainStats, Stages) {
+fn staged_train(task: &er_rules::Task, c: &RlMinerConfig) -> (TrainStats, Stages, LearnProfile) {
     let encoder = StateEncoder::new(task, c.condition_space);
     let mut agent = DqnAgent::new(DqnConfig {
         state_dim: encoder.state_dim(),
@@ -196,7 +215,7 @@ fn staged_train(task: &er_rules::Task, c: &RlMinerConfig) -> (TrainStats, Stages
         reward_sum,
         fresh_evaluations: env.fresh_evaluations(),
     };
-    (stats, t)
+    (stats, t, agent.learn_profile())
 }
 
 /// FNV-1a over bytes: stable across Rust releases, unlike `DefaultHasher`.
@@ -239,7 +258,7 @@ fn run_workload(cfg: &ExperimentConfig, workload: &str, kind: DatasetKind) -> Mi
     let doc = rules_to_json(&result.rules, task);
     let rules_fnv = format!("{:016x}", fnv(doc.as_bytes()));
 
-    let (replica, stages) = staged_train(task, &c);
+    let (replica, stages, learn) = staged_train(task, &c);
     assert!(
         replica.steps == stats.steps
             && replica.episodes == stats.episodes
@@ -276,9 +295,17 @@ fn run_workload(cfg: &ExperimentConfig, workload: &str, kind: DatasetKind) -> Mi
         select_seconds: stages.select.as_secs_f64(),
         step_seconds: stages.step.as_secs_f64(),
         learn_seconds: stages.learn.as_secs_f64(),
+        learn_sample_seconds: learn.sample.as_secs_f64(),
+        learn_forward_seconds: learn.forward.as_secs_f64(),
+        learn_bootstrap_seconds: learn.bootstrap.as_secs_f64(),
+        learn_backward_seconds: learn.backward.as_secs_f64(),
+        learn_optimize_seconds: learn.optimize.as_secs_f64(),
+        bootstrap_rows_computed: learn.bootstrap_rows_computed,
+        bootstrap_rows_reused: learn.bootstrap_rows_reused,
         rules: result.rules.len(),
         rules_fnv,
-        note: "global mask probes action-set keys; state and mask carried over; subnormal Adam moments flushed".to_string(),
+        note: "weights stored and trained as Wᵀ; target bootstrap rows cached per replay slot"
+            .to_string(),
         quick: cfg.quick,
         unix_seconds: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -307,6 +334,16 @@ pub fn mine_bench(cfg: &ExperimentConfig) -> Vec<MineBench> {
             r.step_seconds,
             r.learn_seconds,
             r.host_parallelism
+        );
+        println!(
+            "    learn: sample {:.3} s, forward {:.3} s, bootstrap {:.3} s, backward {:.3} s, optimize {:.3} s | bootstrap rows {} computed, {} reused",
+            r.learn_sample_seconds,
+            r.learn_forward_seconds,
+            r.learn_bootstrap_seconds,
+            r.learn_backward_seconds,
+            r.learn_optimize_seconds,
+            r.bootstrap_rows_computed,
+            r.bootstrap_rows_reused
         );
         results.push(r);
     }

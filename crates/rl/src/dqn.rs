@@ -15,6 +15,7 @@ use crate::replay::ReplayBuffer;
 use crate::tensor::Mat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 /// One environment transition.
 #[derive(Debug, Clone)]
@@ -104,11 +105,103 @@ impl Replay {
         }
     }
 
-    fn push(&mut self, t: Transition) {
+    fn push(&mut self, t: Transition) -> usize {
         match self {
             Replay::Uniform(r) => r.push(t),
             Replay::Prioritized(r) => r.push(t),
         }
+    }
+
+    fn get(&self, slot: usize) -> &Transition {
+        match self {
+            Replay::Uniform(r) => r.get(slot),
+            Replay::Prioritized(r) => r.get(slot),
+        }
+    }
+}
+
+/// Cumulative time and work of [`DqnAgent::learn`], by stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LearnProfile {
+    /// Drawing the batch (and its importance weights under PER).
+    pub sample: Duration,
+    /// The online network's training forward pass over the batch's states.
+    pub forward: Duration,
+    /// Bootstrapped targets: missing target-network rows, the online
+    /// forward over next states under Double DQN, the masked max.
+    pub bootstrap: Duration,
+    /// Huber loss, output gradient and backpropagation.
+    pub backward: Duration,
+    /// The Adam step, PER priority updates and target syncs.
+    pub optimize: Duration,
+    /// Target-network Q rows computed for sampled next states.
+    pub bootstrap_rows_computed: u64,
+    /// Sampled next states whose target-network Q row was already cached.
+    pub bootstrap_rows_reused: u64,
+}
+
+/// The target network's Q row of each replay slot's next state. A row is
+/// computed the first time its slot is sampled after a target sync, and
+/// dropped when the slot is overwritten or the target network changes, so
+/// every fresh row equals a target forward of its slot's next state now.
+#[derive(Debug, Default)]
+struct BootstrapCache {
+    /// Slot `s`'s row at `s * width`; grown with the replay occupancy.
+    rows: Vec<f32>,
+    /// Whether slot `s`'s row is current.
+    fresh: Vec<bool>,
+    width: usize,
+}
+
+impl BootstrapCache {
+    fn new(width: usize) -> Self {
+        BootstrapCache {
+            width,
+            ..Self::default()
+        }
+    }
+
+    fn forget(&mut self, slot: usize) {
+        if let Some(f) = self.fresh.get_mut(slot) {
+            *f = false;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.fresh.fill(false);
+    }
+
+    fn row(&self, slot: usize) -> &[f32] {
+        &self.rows[slot * self.width..(slot + 1) * self.width]
+    }
+
+    /// Make every sampled non-terminal slot's row current, computing the
+    /// missing ones in one target forward (rows are independent, so each
+    /// equals its own 1×n pass). Returns the rows computed and reused.
+    fn fill(&mut self, target: &Mlp, slots: &[usize], batch: &[&Transition]) -> (u64, u64) {
+        let (mut missing, mut reused) = (Vec::new(), 0);
+        for (&slot, t) in slots.iter().zip(batch) {
+            if let Some((next_state, _)) = &t.next {
+                if slot >= self.fresh.len() {
+                    self.fresh.resize(slot + 1, false);
+                    self.rows.resize((slot + 1) * self.width, 0.0);
+                }
+                if self.fresh[slot] {
+                    reused += 1;
+                } else {
+                    self.fresh[slot] = true;
+                    missing.push((slot, next_state.as_slice()));
+                }
+            }
+        }
+        if !missing.is_empty() {
+            let states = stack_rows(target.in_dim(), missing.iter().map(|&(_, s)| s));
+            let q = target.forward(&states);
+            for (r, &(slot, _)) in missing.iter().enumerate() {
+                self.rows[slot * self.width..(slot + 1) * self.width].copy_from_slice(q.row(r));
+            }
+        }
+        (missing.len() as u64, reused)
     }
 }
 
@@ -119,6 +212,8 @@ pub struct DqnAgent {
     target: Mlp,
     adam: Adam,
     replay: Replay,
+    bootstrap: BootstrapCache,
+    profile: LearnProfile,
     rng: StdRng,
     env_steps: usize,
     learn_steps: usize,
@@ -141,6 +236,8 @@ impl DqnAgent {
             Replay::Uniform(ReplayBuffer::new(config.replay_capacity))
         };
         DqnAgent {
+            bootstrap: BootstrapCache::new(config.action_dim),
+            profile: LearnProfile::default(),
             config,
             online,
             target,
@@ -204,7 +301,8 @@ impl DqnAgent {
     /// Store a transition in the replay buffer.
     pub fn observe(&mut self, t: Transition) {
         debug_assert_eq!(t.state.len(), self.config.state_dim);
-        self.replay.push(t);
+        let slot = self.replay.push(t);
+        self.bootstrap.forget(slot);
     }
 
     /// One TD learning step (a minibatch). Returns the batch Huber loss, or
@@ -214,68 +312,69 @@ impl DqnAgent {
             return None;
         }
         let bs = self.config.batch_size;
-        // Sample the batch (with importance weights and indices under PER),
-        // borrowing the transitions from the buffer.
-        let (batch, weights, indices): (Vec<&Transition>, Vec<f32>, Option<Vec<usize>>) =
-            match &mut self.replay {
-                Replay::Uniform(r) => (r.sample(bs, &mut self.rng), vec![1.0; bs], None),
-                Replay::Prioritized(r) => {
-                    // Anneal β toward 1 over the ε-decay horizon.
-                    let frac = (self.learn_steps as f64
-                        / self.config.epsilon_decay_steps.max(1) as f64)
-                        .min(1.0);
-                    r.beta = 0.4 + 0.6 * frac;
-                    let picks = r.sample(bs, &mut self.rng);
-                    let r = &*r;
-                    let b = picks.iter().map(|&(i, _)| r.get(i)).collect();
-                    let w = picks.iter().map(|&(_, w)| w).collect();
-                    let idx = picks.iter().map(|&(i, _)| i).collect();
-                    (b, w, Some(idx))
-                }
-            };
+        let started = Instant::now();
+        // Sample the batch's slots (with importance weights under PER).
+        let (slots, weights): (Vec<usize>, Vec<f32>) = match &mut self.replay {
+            Replay::Uniform(r) => (r.sample(bs, &mut self.rng), vec![1.0; bs]),
+            Replay::Prioritized(r) => {
+                // Anneal β toward 1 over the ε-decay horizon.
+                let frac = (self.learn_steps as f64
+                    / self.config.epsilon_decay_steps.max(1) as f64)
+                    .min(1.0);
+                r.beta = 0.4 + 0.6 * frac;
+                let picks = r.sample(bs, &mut self.rng);
+                picks.into_iter().unzip()
+            }
+        };
+        let replay = &self.replay;
+        let batch: Vec<&Transition> = slots.iter().map(|&s| replay.get(s)).collect();
+        let sampled = Instant::now();
 
         // Q(s, ·) for the batch.
         let states = stack_rows(
             self.config.state_dim,
             batch.iter().map(|t| t.state.as_slice()),
         );
-        self.online.zero_grad();
         let q = self.online.forward_train(&states);
+        let forwarded = Instant::now();
 
-        // Bootstrapped targets, masked: one target-network forward over the
-        // batch's non-terminal next states (and one online forward under
-        // Double DQN). Rows are independent, so each equals its own 1×n pass.
-        let next_states = stack_rows(
-            self.config.state_dim,
-            batch
-                .iter()
-                .filter_map(|t| t.next.as_ref().map(|(ns, _)| ns.as_slice())),
-        );
-        let qn = self.target.forward(&next_states);
-        let qo = self
-            .config
-            .double_dqn
-            .then(|| self.online.forward(&next_states));
+        // Bootstrapped targets, masked: the target network's cached rows and,
+        // under Double DQN, one online forward over the non-terminal next
+        // states.
+        let (computed, reused) = self.bootstrap.fill(&self.target, &slots, &batch);
+        self.profile.bootstrap_rows_computed += computed;
+        self.profile.bootstrap_rows_reused += reused;
+        let qo = self.config.double_dqn.then(|| {
+            let next_states = stack_rows(
+                self.config.state_dim,
+                batch
+                    .iter()
+                    .filter_map(|t| t.next.as_ref().map(|(ns, _)| ns.as_slice())),
+            );
+            self.online.forward(&next_states)
+        });
         let gamma = self.config.gamma;
         let mut row = 0;
         let mut targets = vec![0.0f32; bs];
-        for (i, t) in batch.iter().enumerate() {
+        for (i, (t, &slot)) in batch.iter().zip(&slots).enumerate() {
             targets[i] = t.reward
                 + match &t.next {
                     None => 0.0,
                     Some((_, mask)) => {
+                        let qn = self.bootstrap.row(slot);
                         let bootstrap = match &qo {
                             // Online net selects, target net evaluates.
                             Some(qo) => masked_argmax(qo.row(row), mask)
-                                .map(|a| qn.row(row)[a])
+                                .map(|a| qn[a])
                                 .unwrap_or(0.0),
-                            None => masked_max(qn.row(row), mask).unwrap_or(0.0),
+                            None => masked_max(qn, mask).unwrap_or(0.0),
                         };
                         row += 1;
                         gamma * bootstrap
                     }
                 };
         }
+        let bootstrapped = Instant::now();
 
         // Huber loss on the taken actions only (importance-weighted under
         // PER), and refreshed priorities from the new TD errors.
@@ -294,21 +393,34 @@ impl DqnAgent {
             grad.set(i, t.action, w * diff.clamp(-1.0, 1.0) / bs as f32);
         }
         self.online.backward(&grad);
+        let backpropagated = Instant::now();
+
         self.adam.step(&mut self.online);
-        if let (Replay::Prioritized(r), Some(indices)) = (&mut self.replay, indices) {
-            for (&idx, &err) in indices.iter().zip(&td_errors) {
+        if let Replay::Prioritized(r) = &mut self.replay {
+            for (&idx, &err) in slots.iter().zip(&td_errors) {
                 r.update_priority(idx, err as f64);
             }
         }
-
         self.learn_steps += 1;
         if self
             .learn_steps
             .is_multiple_of(self.config.target_sync_every)
         {
             self.target.copy_params_from(&self.online);
+            self.bootstrap.clear();
         }
+        let p = &mut self.profile;
+        p.sample += sampled - started;
+        p.forward += forwarded - sampled;
+        p.bootstrap += bootstrapped - forwarded;
+        p.backward += backpropagated - bootstrapped;
+        p.optimize += backpropagated.elapsed();
         Some(loss / bs as f32)
+    }
+
+    /// Cumulative time and work of [`DqnAgent::learn`] by stage.
+    pub fn learn_profile(&self) -> LearnProfile {
+        self.profile
     }
 
     /// Environment steps taken (drives the ε schedule).
@@ -349,6 +461,7 @@ impl DqnAgent {
     pub fn import_network(&mut self, net: &Mlp) {
         self.online.copy_params_from(net);
         self.target.copy_params_from(net);
+        self.bootstrap.clear();
     }
 }
 
@@ -378,6 +491,76 @@ pub fn masked_max(q: &[f32], mask: &[bool]) -> Option<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// After every learn step, each cached target row equals a fresh target
+    /// forward of its slot's next state, bit for bit, under uniform replay,
+    /// Double DQN and PER, through ring wrap-arounds (a 20-slot buffer fed
+    /// 300 transitions), target syncs every 7 learn steps, and an
+    /// `import_network` mid-run.
+    #[test]
+    fn bootstrap_cache_matches_fresh_target_rows() {
+        let one_hot = |rng: &mut StdRng| {
+            let mut s = vec![0.0f32; 12];
+            for _ in 0..rng.gen_range(1..4usize) {
+                s[rng.gen_range(0..12)] = 1.0;
+            }
+            s
+        };
+        for (double_dqn, prioritized_replay) in [(false, false), (true, false), (false, true)] {
+            let mut cfg = DqnConfig::new(12, 5);
+            cfg.hidden = vec![16, 16];
+            cfg.batch_size = 8;
+            cfg.learn_start = 8;
+            cfg.replay_capacity = 20;
+            cfg.target_sync_every = 7;
+            cfg.double_dqn = double_dqn;
+            cfg.prioritized_replay = prioritized_replay;
+            cfg.seed = 3;
+            let mut agent = DqnAgent::new(cfg);
+            let imported = DqnAgent::new(DqnConfig {
+                seed: 4,
+                ..agent.config().clone()
+            })
+            .export_network();
+            let mut env = StdRng::seed_from_u64(11);
+            let mut checked = 0;
+            for step in 0..300 {
+                let state = one_hot(&mut env);
+                let mut mask: Vec<bool> = (0..5).map(|_| env.gen_range(0..2u8) == 1).collect();
+                mask[4] = true;
+                let action = agent.select_action(&state, &mask);
+                let next = (env.gen_range(0..4u8) != 0).then(|| (one_hot(&mut env), mask));
+                agent.observe(Transition {
+                    state,
+                    action,
+                    reward: env.gen_range(-1.0f32..1.0),
+                    next,
+                });
+                agent.learn();
+                if step == 150 {
+                    agent.import_network(&imported);
+                }
+                for slot in 0..agent.bootstrap.fresh.len() {
+                    if !agent.bootstrap.fresh[slot] {
+                        continue;
+                    }
+                    let (next_state, _) = agent.replay.get(slot).next.as_ref().unwrap();
+                    let want = agent.target.forward(&Mat::row_vector(next_state));
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(agent.bootstrap.row(slot)),
+                        bits(want.data()),
+                        "slot {slot} stale at step {step} (double {double_dqn}, PER {prioritized_replay})"
+                    );
+                    checked += 1;
+                }
+            }
+            let p = agent.learn_profile();
+            assert!(agent.learn_steps() >= 5 * 7, "too few target syncs");
+            assert!(checked > 1000, "only {checked} cached rows audited");
+            assert!(p.bootstrap_rows_reused > 0 && p.bootstrap_rows_computed > 0);
+        }
+    }
 
     #[test]
     fn masked_argmax_respects_mask() {

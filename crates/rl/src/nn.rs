@@ -3,73 +3,98 @@
 use crate::tensor::Mat;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::OnceLock;
+use serde::value::Value;
 
-/// One fully-connected layer `y = x·Wᵀ + b` with gradient accumulators.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// One fully-connected layer `y = x·Wᵀ + b` with its gradients.
+///
+/// The weights are stored as `Wᵀ` (`in × out` row-major), the layout the
+/// forward kernel reads, and their gradient in the same layout; the saved
+/// document and [`Mlp::visit_params`] present `W` as `out × in`.
+#[derive(Debug, Clone)]
 pub struct Linear {
-    /// Weights, `out × in` row-major. Private, so that no write to it can
-    /// leave `wt` stale.
-    w: Mat,
-    /// `wᵀ` (`in × out`), so the forward kernel reads contiguous rows of
-    /// outputs. Whenever set, it equals the transpose of `w`: built on the
-    /// first forward pass (new or deserialized layers), rebuilt by an
-    /// optimizer step, copied along with `w` by a target sync.
-    #[serde(skip)]
-    wt: OnceLock<Mat>,
+    /// `Wᵀ`, `in × out` row-major.
+    wt: Mat,
     /// Bias, length `out`.
     pub b: Vec<f32>,
-    /// Accumulated weight gradients (same shape as `w`).
-    pub grad_w: Mat,
-    /// Accumulated bias gradients.
+    /// The last batch's weight gradient, in the layout of `wt`.
+    grad_wt: Mat,
+    /// The last batch's bias gradient.
     pub grad_b: Vec<f32>,
+}
+
+/// The saved form of a [`Linear`]: weights and weight gradient `out × in`.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct LinearDoc {
+    w: Mat,
+    b: Vec<f32>,
+    grad_w: Mat,
+    grad_b: Vec<f32>,
+}
+
+impl serde::Serialize for Linear {
+    fn to_value(&self) -> Value {
+        LinearDoc {
+            w: self.w(),
+            b: self.b.clone(),
+            grad_w: self.grad_wt.transpose(),
+            grad_b: self.grad_b.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl serde::Deserialize for Linear {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let doc = LinearDoc::from_value(v)?;
+        Ok(Linear {
+            wt: doc.w.transpose(),
+            b: doc.b,
+            grad_wt: doc.grad_w.transpose(),
+            grad_b: doc.grad_b,
+        })
+    }
 }
 
 impl Linear {
     /// He-initialized layer (`N(0, √(2/in))`, suitable for ReLU networks).
+    /// `W` is drawn in `out × in` row-major order, each draw stored at its
+    /// place in `Wᵀ`.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         let std = (2.0 / in_dim as f32).sqrt();
-        let mut w = Mat::zeros(out_dim, in_dim);
-        for v in w.data_mut() {
-            *v = sample_normal(rng) * std;
+        let mut wt = Mat::zeros(in_dim, out_dim);
+        for j in 0..out_dim {
+            for k in 0..in_dim {
+                wt.set(k, j, sample_normal(rng) * std);
+            }
         }
         Linear {
-            w,
-            wt: OnceLock::new(),
+            wt,
             b: vec![0.0; out_dim],
-            grad_w: Mat::zeros(out_dim, in_dim),
+            grad_wt: Mat::zeros(in_dim, out_dim),
             grad_b: vec![0.0; out_dim],
         }
     }
 
-    /// Weights, `out × in` row-major.
-    pub fn w(&self) -> &Mat {
-        &self.w
-    }
-
-    /// Re-derive `wᵀ` after a write to `w`. The writer pays for the
-    /// transpose, not whichever forward pass comes next.
-    fn refresh_wt(&mut self) {
-        self.wt = OnceLock::from(self.w.transpose());
+    /// The weights `W`, `out × in`, as a new matrix.
+    pub fn w(&self) -> Mat {
+        self.wt.transpose()
     }
 
     /// Forward pass for a batch (`batch × in`) → (`batch × out`): one
-    /// [`Mat::matmul`] against `wᵀ`, then the bias. Each output element is
-    /// the same `k`-ascending sum as `x.matmul_t(w)`, bit for bit.
+    /// [`Mat::matmul`] against `Wᵀ`, then the bias. Each output element is
+    /// the same `k`-ascending sum as `x.matmul_t(&w)`, bit for bit.
     pub fn forward(&self, x: &Mat) -> Mat {
-        let mut out = x.matmul(self.wt.get_or_init(|| self.w.transpose()));
+        let mut out = x.matmul(&self.wt);
         out.add_row_bias(&self.b);
         out
     }
 
     /// Backward pass, parameter half: given `x` (the forward input) and
-    /// `grad_out` (`batch × out`), accumulate `dW = grad_outᵀ · x` and
-    /// `db = Σ_batch grad_out`.
-    pub(crate) fn accumulate_grads(&mut self, x: &Mat, grad_out: &Mat) {
-        let dw = grad_out.t_matmul(x);
-        for (g, d) in self.grad_w.data_mut().iter_mut().zip(dw.data()) {
-            *g += d;
-        }
+    /// `grad_out` (`batch × out`), write `dWᵀ = xᵀ · grad_out` and `db =
+    /// Σ_batch grad_out`, each summed over the batch from `+0.0`.
+    pub(crate) fn write_grads(&mut self, x: &Mat, grad_out: &Mat) {
+        self.grad_wt = x.t_matmul(grad_out);
+        self.grad_b.fill(0.0);
         for r in 0..grad_out.rows() {
             for (gb, &g) in self.grad_b.iter_mut().zip(grad_out.row(r)) {
                 *gb += g;
@@ -79,17 +104,7 @@ impl Linear {
 
     /// Backward pass, input half: `grad_in = grad_out · W` (`batch × in`).
     pub(crate) fn input_grad(&self, grad_out: &Mat) -> Mat {
-        grad_out.matmul(&self.w)
-    }
-
-    /// Reset accumulated gradients to zero.
-    pub fn zero_grad(&mut self) {
-        for g in self.grad_w.data_mut() {
-            *g = 0.0;
-        }
-        for g in &mut self.grad_b {
-            *g = 0.0;
-        }
+        grad_out.matmul_t_fast(&self.wt)
     }
 }
 
@@ -103,7 +118,8 @@ fn sample_normal(rng: &mut StdRng) -> f32 {
 /// An MLP with ReLU activations between layers (none after the last).
 ///
 /// `forward` runs inference only; `forward_train` additionally caches the
-/// per-layer inputs needed by `backward`.
+/// per-layer inputs needed by `backward`. It saves as `{"layers": [...]}`,
+/// each layer as `{"w", "b", "grad_w", "grad_b"}` with `W` `out × in`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
@@ -135,14 +151,14 @@ impl Mlp {
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.layers[0].w.cols()
+        self.layers[0].wt.rows()
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         // Invariant: `Mlp::new` rejects empty layer stacks.
         #[allow(clippy::expect_used)]
-        self.layers.last().expect("non-empty").w.rows()
+        self.layers.last().expect("non-empty").wt.cols()
     }
 
     /// Inference forward pass (no caches touched).
@@ -170,8 +186,9 @@ impl Mlp {
     }
 
     /// Backpropagate `grad_out` (gradient w.r.t. the network output of the
-    /// last `forward_train` batch), accumulating parameter gradients. The
-    /// gradient w.r.t. the network input is not computed: nothing reads it.
+    /// last `forward_train` batch), writing every parameter gradient (the
+    /// previous batch's are overwritten, not added to). The gradient w.r.t.
+    /// the network input is not computed: nothing reads it.
     ///
     /// # Panics
     /// Panics if `forward_train` has not been called.
@@ -183,7 +200,7 @@ impl Mlp {
         );
         let mut grad = grad_out.clone();
         for i in (0..self.layers.len()).rev() {
-            self.layers[i].accumulate_grads(&self.cache[i], &grad);
+            self.layers[i].write_grads(&self.cache[i], &grad);
             if i == 0 {
                 break;
             }
@@ -198,19 +215,23 @@ impl Mlp {
         }
     }
 
-    /// Zero all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
+    /// Visit each parameter tensor with its gradient:
+    /// `f(tensor_index, params, grads)`. Weights come `out × in` row-major:
+    /// this transposes them out and back, and is not on any hot path.
+    pub fn visit_params(&mut self, mut f: impl FnMut(usize, &mut [f32], &[f32])) {
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let mut w = layer.w();
+            f(2 * i, w.data_mut(), layer.grad_wt.transpose().data());
+            layer.wt = w.transpose();
+            f(2 * i + 1, &mut layer.b, &layer.grad_b);
         }
     }
 
-    /// Visit each parameter tensor with its gradient:
-    /// `f(tensor_index, params, grads)`. Weights come `out × in` row-major.
-    pub fn visit_params(&mut self, mut f: impl FnMut(usize, &mut [f32], &[f32])) {
+    /// [`Mlp::visit_params`] in storage order: weights come as `Wᵀ`, `in ×
+    /// out`. For element-wise updates (Adam).
+    pub(crate) fn visit_storage(&mut self, mut f: impl FnMut(usize, &mut [f32], &[f32])) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            f(2 * i, layer.w.data_mut(), layer.grad_w.data());
-            layer.refresh_wt();
+            f(2 * i, layer.wt.data_mut(), layer.grad_wt.data());
             f(2 * i + 1, &mut layer.b, &layer.grad_b);
         }
     }
@@ -227,9 +248,8 @@ impl Mlp {
     pub fn copy_params_from(&mut self, other: &Mlp) {
         assert_eq!(self.layers.len(), other.layers.len());
         for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
-            dst.w = src.w.clone();
-            dst.wt = src.wt.clone();
-            dst.b = src.b.clone();
+            dst.wt.clone_from(&src.wt);
+            dst.b.clone_from(&src.b);
         }
     }
 }
@@ -270,7 +290,6 @@ mod tests {
         let loss = |m: &Mlp| -> f32 { m.forward(&x).data().iter().map(|v| v * v).sum() };
 
         // Analytic gradients: dL/dy = 2y.
-        mlp.zero_grad();
         let y = mlp.forward_train(&x);
         let grad_out = Mat::from_vec(
             y.rows(),
@@ -279,16 +298,14 @@ mod tests {
         );
         mlp.backward(&grad_out);
 
-        // Collect analytic grads, then perturb each weight of layer 0.
-        let analytic_w0 = mlp.layers[0].grad_w.clone();
+        // Collect analytic grads, then perturb each weight of layer 0 (`Wᵀ`
+        // and its gradient share one layout).
+        let analytic_w0 = mlp.layers[0].grad_wt.clone();
         let analytic_b1 = mlp.layers[1].grad_b.clone();
         let eps = 1e-3f32;
         for idx in [0usize, 3, 7] {
-            let orig = mlp.layers[0].w.data()[idx];
-            let set_w0 = |mlp: &mut Mlp, v: f32| {
-                mlp.layers[0].w.data_mut()[idx] = v;
-                mlp.layers[0].refresh_wt();
-            };
+            let orig = mlp.layers[0].wt.data()[idx];
+            let set_w0 = |mlp: &mut Mlp, v: f32| mlp.layers[0].wt.data_mut()[idx] = v;
             set_w0(&mut mlp, orig + eps);
             let lp = loss(&mlp);
             set_w0(&mut mlp, orig - eps);
@@ -318,15 +335,41 @@ mod tests {
     }
 
     #[test]
-    fn zero_grad_clears_accumulators() {
+    fn backward_overwrites_gradients() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut mlp = Mlp::new(&[2, 4, 1], &mut rng);
         let x = Mat::from_vec(1, 2, vec![1.0, -1.0]);
         let y = mlp.forward_train(&x);
-        mlp.backward(&Mat::from_vec(1, 1, vec![2.0 * y.get(0, 0)]));
-        mlp.zero_grad();
-        assert!(mlp.layers[0].grad_w.data().iter().all(|&g| g == 0.0));
+        let grad = Mat::from_vec(1, 1, vec![2.0 * y.get(0, 0)]);
+        mlp.backward(&grad);
+        let first = (mlp.layers[0].grad_wt.clone(), mlp.layers[1].grad_b.clone());
+        mlp.backward(&grad);
+        assert_eq!(
+            (mlp.layers[0].grad_wt.clone(), mlp.layers[1].grad_b.clone()),
+            first
+        );
+        mlp.backward(&Mat::zeros(1, 1));
+        assert!(mlp.layers[0].grad_wt.data().iter().all(|&g| g == 0.0));
         assert!(mlp.layers[1].grad_b.iter().all(|&g| g == 0.0));
+    }
+
+    /// `visit_params` lends `W` as `out × in` and writes it back.
+    #[test]
+    fn visit_params_presents_out_by_in() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut mlp = Mlp::new(&[3, 2], &mut rng);
+        let w = mlp.layers[0].w();
+        assert_eq!((w.rows(), w.cols()), (2, 3));
+        let mut seen = Vec::new();
+        mlp.visit_params(|i, p, _| {
+            if i == 0 {
+                seen = p.to_vec();
+                p[1] = 9.0;
+            }
+        });
+        assert_eq!(seen, w.data());
+        assert_eq!(mlp.layers[0].w().get(0, 1), 9.0);
+        assert_eq!(mlp.layers[0].wt.get(1, 0), 9.0);
     }
 
     #[test]

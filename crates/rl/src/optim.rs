@@ -32,12 +32,12 @@ impl Adam {
         }
     }
 
-    /// Apply one Adam step using the gradients accumulated in `net`, then
-    /// leave the gradients untouched (callers usually `zero_grad` next).
+    /// Apply one Adam step using the gradients `net`'s last backward pass
+    /// wrote, element by element in the parameters' storage order.
     pub fn step(&mut self, net: &mut Mlp) {
         if self.m.is_empty() {
             // Lazily size the moment buffers to the network.
-            net.visit_params(|_, p, _| {
+            net.visit_storage(|_, p, _| {
                 self.m.push(vec![0.0; p.len()]);
                 self.v.push(vec![0.0; p.len()]);
             });
@@ -48,7 +48,7 @@ impl Adam {
         let bc2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let (ms, vs) = (&mut self.m, &mut self.v);
-        net.visit_params(|idx, params, grads| {
+        net.visit_storage(|idx, params, grads| {
             let moments = ms[idx].iter_mut().zip(vs[idx].iter_mut());
             for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
                 *m = b1 * flush_subnormal(*m) + (1.0 - b1) * g;
@@ -100,7 +100,6 @@ mod tests {
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..400 {
-            net.zero_grad();
             let y = net.forward_train(&xs);
             let mut grad = Mat::zeros(4, 1);
             let mut loss = 0.0;
@@ -127,11 +126,10 @@ mod tests {
         let mut net = Mlp::new(&[1, 1], &mut rng);
         let mut adam = Adam::new(1e-3);
         let x = Mat::from_vec(1, 1, vec![1.0]);
-        net.zero_grad();
         net.forward_train(&x);
         net.backward(&Mat::from_vec(1, 1, vec![1.0]));
         adam.step(&mut net);
-        net.zero_grad();
+        net.backward(&Mat::zeros(1, 1));
         for _ in 0..2000 {
             adam.step(&mut net);
         }
@@ -154,8 +152,7 @@ mod tests {
         let mut adam = Adam::new(1e-2);
         let x = Mat::from_vec(1, 2, vec![0.3, 0.4]);
         let before = net.forward(&x).get(0, 0);
-        net.zero_grad();
-        adam.step(&mut net); // all-zero grads
+        adam.step(&mut net); // a new network's gradients are all zero
         let after = net.forward(&x).get(0, 0);
         assert!((before - after).abs() < 1e-5);
     }

@@ -113,18 +113,20 @@ impl<T> PrioritizedReplay<T> {
     }
 
     /// Insert with maximal priority (new experience is always worth one
-    /// look).
-    pub fn push(&mut self, item: T) {
+    /// look). Returns its slot.
+    pub fn push(&mut self, item: T) -> usize {
         let priority = self.max_priority.powf(self.alpha);
-        if self.items.len() < self.capacity {
-            let leaf = self.items.len();
+        let slot = if self.items.len() < self.capacity {
             self.items.push(item);
-            self.tree.set(leaf, priority);
+            self.items.len() - 1
         } else {
-            self.items[self.next] = item;
-            self.tree.set(self.next, priority);
-            self.next = (self.next + 1) % self.capacity;
-        }
+            let slot = self.next;
+            self.items[slot] = item;
+            self.next = (slot + 1) % self.capacity;
+            slot
+        };
+        self.tree.set(slot, priority);
+        slot
     }
 
     /// Sample `n` indices proportionally to priority. Returns

@@ -35,22 +35,28 @@ impl<T> ReplayBuffer<T> {
         self.buf.is_empty()
     }
 
-    /// Insert an item, evicting the oldest once full.
-    pub fn push(&mut self, item: T) {
+    /// Insert an item, evicting the oldest once full. Returns its slot.
+    pub fn push(&mut self, item: T) -> usize {
         if self.buf.len() < self.capacity {
             self.buf.push(item);
+            self.buf.len() - 1
         } else {
-            self.buf[self.next] = item;
-            self.next = (self.next + 1) % self.capacity;
+            let slot = self.next;
+            self.buf[slot] = item;
+            self.next = (slot + 1) % self.capacity;
+            slot
         }
     }
 
-    /// Sample `n` items uniformly with replacement.
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut StdRng) -> Vec<&'a T> {
+    /// Sample `n` slots uniformly with replacement.
+    pub fn sample(&self, n: usize, rng: &mut StdRng) -> Vec<usize> {
         assert!(!self.buf.is_empty(), "cannot sample from an empty buffer");
-        (0..n)
-            .map(|_| &self.buf[rng.gen_range(0..self.buf.len())])
-            .collect()
+        (0..n).map(|_| rng.gen_range(0..self.buf.len())).collect()
+    }
+
+    /// The item in `slot`.
+    pub fn get(&self, slot: usize) -> &T {
+        &self.buf[slot]
     }
 }
 
@@ -62,13 +68,16 @@ mod tests {
     #[test]
     fn fills_then_wraps() {
         let mut rb = ReplayBuffer::new(3);
-        for i in 0..5 {
-            rb.push(i);
-        }
+        let slots: Vec<usize> = (0..5).map(|i| rb.push(i)).collect();
+        assert_eq!(slots, [0, 1, 2, 0, 1]);
         assert_eq!(rb.len(), 3);
         // 0 and 1 evicted.
         let mut rng = StdRng::seed_from_u64(1);
-        let sampled: Vec<i32> = rb.sample(100, &mut rng).into_iter().copied().collect();
+        let sampled: Vec<i32> = rb
+            .sample(100, &mut rng)
+            .into_iter()
+            .map(|s| *rb.get(s))
+            .collect();
         assert!(sampled.iter().all(|&x| (2..5).contains(&x)));
     }
 
@@ -79,8 +88,8 @@ mod tests {
             rb.push(i);
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let sampled: std::collections::HashSet<i32> =
-            rb.sample(500, &mut rng).into_iter().copied().collect();
+        let sampled: std::collections::HashSet<usize> =
+            rb.sample(500, &mut rng).into_iter().collect();
         assert_eq!(sampled.len(), 10);
     }
 

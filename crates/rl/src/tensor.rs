@@ -95,18 +95,9 @@ impl Mat {
         let n = other.cols;
         let mut out = Mat::zeros(self.rows, n);
         let w = |k: usize| &other.data[k * n..(k + 1) * n];
-        // Indices of the row's nonzero inputs, gathered without a branch:
-        // ReLU zeros fall at random, so a branch per input mispredicts
-        // often (branchless: 172 → 110 µs per batch-32 Covid forward on a
-        // 2-vCPU Xeon).
         let mut nonzero = vec![0usize; self.cols];
-        let rows = self.data.chunks_exact(self.cols.max(1));
-        for (x, o) in rows.zip(out.data.chunks_exact_mut(n.max(1))) {
-            let mut m = 0;
-            for (k, &a) in x.iter().enumerate() {
-                nonzero[m] = k;
-                m += usize::from(a != 0.0);
-            }
+        for (x, o) in self.rows_iter().zip(out.data.chunks_exact_mut(n.max(1))) {
+            let m = nonzero_cols(x, &mut nonzero);
             let mut quads = nonzero[..m].chunks_exact(4);
             for q in &mut quads {
                 let (a0, a1, a2, a3) = (x[q[0]], x[q[1]], x[q[2]], x[q[3]]);
@@ -125,18 +116,87 @@ impl Mat {
         out
     }
 
-    /// Matrix product `selfᵀ · other`: the weight-gradient kernel
-    /// (`dW = gᵀ · x`). Element `(i, j)` sums `self[r,i] · other[r,j]` over
-    /// `r` ascending, which is [`Mat::matmul`] on the transpose of `self`.
+    /// Matrix product `selfᵀ · other`: the weight-gradient kernel (`dWᵀ =
+    /// xᵀ · g`, in the `in × out` layout the weights are stored in).
+    /// Element `(k, j)` sums `self[r,k] · other[r,j]` over `r` ascending,
+    /// from `+0.0`, skipping terms with a zero factor in one operand. A
+    /// sparse `other` (DQN's output gradient, one nonzero per row) is taken
+    /// row by row, each nonzero `other[r,j]` scaling row `r` of `self` into
+    /// column `j`. Otherwise `selfᵀ` feeds [`Mat::matmul`], which skips
+    /// `self`'s zeros (the one-hot states of layer 0) and folds four rows
+    /// per pass.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch.
     pub fn t_matmul(&self, other: &Mat) -> Mat {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        self.transpose().matmul(other)
+        if !other.is_sparse() {
+            return self.transpose().matmul(other);
+        }
+        let n = other.cols;
+        let mut out = Mat::zeros(self.cols, n);
+        let mut js = vec![0usize; n];
+        for (x, g) in self.rows_iter().zip(other.rows_iter()) {
+            let m = nonzero_cols(g, &mut js);
+            for &j in &js[..m] {
+                let b = g[j];
+                for (o, &a) in out.data[j..].iter_mut().step_by(n).zip(x) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// Matrix product `self · otherᵀ`, bit for bit [`Mat::matmul_t`]: the
+    /// input-gradient kernel (`g · W` with `other = Wᵀ`). A sparse `self`
+    /// (DQN's output gradient) is read from `Wᵀ` directly: each output
+    /// element is one `j`-ascending sum over its row's nonzero terms. A
+    /// dense one goes through [`Mat::matmul`] against the transpose of
+    /// `other`, which skips `self`'s zeros and runs along rows of `W`: on
+    /// the 32 × 128 ReLU-masked gradient of a 128 × 128 layer, that
+    /// transpose and product take half the time of `(other · selfᵀ)ᵀ`.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
+    pub fn matmul_t_fast(&self, other: &Mat) -> Mat {
+        assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
+        if !self.is_sparse() {
+            return self.matmul(&other.transpose());
+        }
+        let mut out = Mat::zeros(self.rows, other.rows);
+        let mut js = vec![0usize; self.cols];
+        let rows = self
+            .rows_iter()
+            .zip(out.data.chunks_exact_mut(other.rows.max(1)));
+        for (g, o) in rows {
+            let m = nonzero_cols(g, &mut js);
+            for (o, w) in o.iter_mut().zip(other.rows_iter()) {
+                let mut acc = 0.0;
+                for &j in &js[..m] {
+                    acc += g[j] * w[j];
+                }
+                *o = acc;
+            }
+        }
+        out
+    }
+
+    /// Whether at most one entry in eight is nonzero.
+    fn is_sparse(&self) -> bool {
+        self.data.iter().filter(|&&v| v != 0.0).count() * 8 <= self.data.len()
+    }
+
+    /// The rows, in order.
+    fn rows_iter(&self) -> std::slice::ChunksExact<'_, f32> {
+        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Matrix product `self · otherᵀ` as one dot product per element: the
-    /// naive single-accumulator reference the forward kernel
-    /// ([`Mat::matmul`] against a transposed weight) is tested against bit
-    /// for bit. Latency-bound; not on any hot path.
+    /// naive single-accumulator reference the forward, weight-gradient and
+    /// input-gradient kernels ([`Mat::matmul`], [`Mat::t_matmul`],
+    /// [`Mat::matmul_t_fast`]) are tested against bit for bit.
+    /// Latency-bound; not on any hot path.
     pub fn matmul_t(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         let mut out = Mat::zeros(self.rows, other.rows);
@@ -159,9 +219,8 @@ impl Mat {
     /// the next column reuses.
     pub fn transpose(&self) -> Mat {
         let mut out = Mat::zeros(self.cols, self.rows);
-        let rows = self.data.chunks_exact(self.cols.max(1));
         for (c, out_row) in out.data.chunks_exact_mut(self.rows.max(1)).enumerate() {
-            for (o, row) in out_row.iter_mut().zip(rows.clone()) {
+            for (o, row) in out_row.iter_mut().zip(self.rows_iter()) {
                 *o = row[c];
             }
         }
@@ -187,6 +246,20 @@ impl Mat {
             }
         }
     }
+}
+
+/// Writes the indices of `row`'s nonzero entries, ascending, to the front of
+/// `idx` (at least `row.len()` long) and returns their count. Gathered
+/// without a branch: ReLU zeros fall at random, so a branch per entry
+/// mispredicts often (branchless: 172 → 110 µs per batch-32 Covid forward
+/// on a 2-vCPU Xeon).
+fn nonzero_cols(row: &[f32], idx: &mut [usize]) -> usize {
+    let mut m = 0;
+    for (k, &a) in row.iter().enumerate() {
+        idx[m] = k;
+        m += usize::from(a != 0.0);
+    }
+    m
 }
 
 #[cfg(test)]

@@ -40,6 +40,45 @@ fn sparse_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
     Mat::from_vec(rows, cols, data)
 }
 
+/// A `rows × cols` output gradient: either [`sparse_mat`]'s mix, a dense
+/// ReLU-masked one (about half `±0.0`), or a sparse one whose rows hold 1
+/// to `most` nonzero entries among `+0.0` and `-0.0`. With `most == 1`,
+/// every row has exactly one nonzero: DQN's output gradient.
+fn grad_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
+    let most = match rng.gen_range(0..4u8) {
+        0 => return sparse_mat(rows, cols, rng),
+        1 => {
+            let data = (0..rows * cols)
+                .map(|_| match rng.gen_range(0..4u8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-0.1f32..0.1),
+                })
+                .collect();
+            return Mat::from_vec(rows, cols, data);
+        }
+        2 => 1,
+        _ => 4,
+    };
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let mut row: Vec<f32> = (0..cols)
+            .map(|_| {
+                if rng.gen_range(0..2u8) == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            })
+            .collect();
+        for _ in 0..rng.gen_range(1..=most) {
+            row[rng.gen_range(0..cols)] = rng.gen_range(-0.05f32..0.05) + 1e-3;
+        }
+        data.extend(row);
+    }
+    Mat::from_vec(rows, cols, data)
+}
+
 fn bits(m: &Mat) -> Vec<u32> {
     m.data().iter().map(|v| v.to_bits()).collect()
 }
@@ -54,8 +93,12 @@ fn shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     )
 }
 
+/// Property cases for the kernel suites: a quick budget under the debug
+/// test profile, a larger one when the suite is built `--release`.
+const KERNEL_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 10_000 };
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(KERNEL_CASES))]
 
     /// The forward kernel (`x · Wᵀ` as `matmul` against the transposed
     /// weight, skipping zero inputs, four terms per pass) equals the naive
@@ -80,21 +123,34 @@ proptest! {
             *b = rng.gen_range(-1.0f32..1.0);
         }
         let x = sparse_mat(batch, width, &mut rng);
-        let mut want = x.matmul_t(layer.w());
+        let mut want = x.matmul_t(&layer.w());
         want.add_row_bias(&layer.b);
         prop_assert_eq!(bits(&layer.forward(&x)), bits(&want));
     }
 
-    /// The weight-gradient kernel `gᵀ · x` sums over the batch in row order
-    /// exactly as the reference dot product over transposed operands.
+    /// The weight-gradient kernel `xᵀ · g` sums over the batch in row order
+    /// exactly as the reference dot product over transposed operands, on
+    /// one-hot and dense inputs and on dense and one-nonzero-per-row
+    /// gradients.
     #[test]
     fn weight_gradient_kernel_is_bit_exact(shape in shapes()) {
         let (batch, width, out, seed) = shape;
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = sparse_mat(batch, out, &mut rng);
         let x = sparse_mat(batch, width, &mut rng);
-        let want = g.transpose().matmul_t(&x.transpose());
-        prop_assert_eq!(bits(&g.t_matmul(&x)), bits(&want));
+        let g = grad_mat(batch, out, &mut rng);
+        let want = x.transpose().matmul_t(&g.transpose());
+        prop_assert_eq!(bits(&x.t_matmul(&g)), bits(&want));
+    }
+
+    /// The input-gradient kernel `g · W`, read from the stored `Wᵀ`, equals
+    /// the reference dot product `g · (Wᵀ)ᵀ` bit for bit.
+    #[test]
+    fn input_gradient_kernel_is_bit_exact(shape in shapes()) {
+        let (batch, width, out, seed) = shape;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = grad_mat(batch, out, &mut rng);
+        let wt = sparse_mat(width, out, &mut rng);
+        prop_assert_eq!(bits(&g.matmul_t_fast(&wt)), bits(&g.matmul_t(&wt)));
     }
 
     /// (A·B)·C == A·(B·C) up to float tolerance.
@@ -146,7 +202,6 @@ proptest! {
         let mut mlp = Mlp::new(&[3, 4, 2], &mut rng);
         let loss = |m: &Mlp, x: &Mat| -> f32 { m.forward(x).data().iter().sum() };
 
-        mlp.zero_grad();
         let y = mlp.forward_train(&x);
         let grad_out = Mat::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
         mlp.backward(&grad_out);
